@@ -53,7 +53,7 @@ from repro.io.results import ResultTable
 from repro.nn.buffers import QuantizedExecutor
 from repro.rl.dqn import DQNAgent
 from repro.rl.evaluation import greedy_rollout, greedy_rollouts
-from repro.rl.tabular import TabularQAgent
+from repro.rl.tabular import TabularQAgent, greedy_tie_break
 
 __all__ = ["INFERENCE_FAULT_MODES", "run_inference_fault_sweep"]
 
@@ -184,9 +184,9 @@ class _TabularInferenceTrial:
                 if step == fault_steps[replica] and self.ber > 0:
                     actions.append(self._transient1_action(rngs[replica], states[j]))
                 else:
-                    row = q_stack[replica, states[j]]
-                    best = np.flatnonzero(row == row.max())
-                    actions.append(int(working_rngs[replica].choice(best)))
+                    actions.append(
+                        greedy_tie_break(q_stack[replica, states[j]], working_rngs[replica])
+                    )
             return actions
 
         rollouts = greedy_rollouts(policy, self.env.batched(n), max_steps=self.max_steps)
@@ -199,9 +199,7 @@ class _TabularInferenceTrial:
         scratch_rng = np.random.default_rng(rng.integers(2**63))
         scratch = self.agent.memory_buffers()["qtable"].copy()
         TransientBitFlip(self.ber).inject(scratch, rng)
-        row = scratch.values[state] / self.agent.value_scale
-        best = np.flatnonzero(row == row.max())
-        return int(scratch_rng.choice(best))
+        return greedy_tie_break(scratch.values[state] / self.agent.value_scale, scratch_rng)
 
 
 # --------------------------------------------------------------------------- #

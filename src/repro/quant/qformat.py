@@ -19,6 +19,9 @@ from repro import kernels
 
 __all__ = ["QFormat", "Q8_GRID", "Q16_NARROW", "Q16_MID", "Q16_WIDE"]
 
+#: 2**63: scaled values at or beyond it overflow numpy's int64 cast.
+_INT64_LIMIT = 2.0**63
+
 
 @dataclass(frozen=True)
 class QFormat:
@@ -64,6 +67,16 @@ class QFormat:
             np.int64(1 << (self.total_bits - 1)) if self.sign_bits else np.int64(0),
         )
         object.__setattr__(self, "_modulus_i64", np.int64(1 << self.total_bits))
+        # Python-int twins for the scalar word codec (encode_word /
+        # decode_word), which tabular training calls once per step: plain
+        # int arithmetic there is several times cheaper than numpy scalars.
+        object.__setattr__(self, "_min_raw_int", self.min_raw)
+        object.__setattr__(self, "_max_raw_int", self.max_raw)
+        object.__setattr__(self, "_word_mask_int", self.word_mask)
+        object.__setattr__(
+            self, "_sign_bit_int", 1 << (self.total_bits - 1) if self.sign_bits else 0
+        )
+        object.__setattr__(self, "_modulus_int", 1 << self.total_bits)
 
     # ------------------------------------------------------------------ #
     # Derived properties
@@ -184,6 +197,32 @@ class QFormat:
             self._modulus_i64,
             self._scale,
         )
+
+    def encode_word(self, value: float) -> int:
+        """Encode one real value into its raw word; scalar :meth:`encode`.
+
+        Bit-identical to ``int(encode(value))``: Python's ``round`` on a
+        float is round-half-even like ``np.rint``, and the clip and mask use
+        the same bounds.  Values whose scaled magnitude leaves the int64
+        range (or that are not finite) take the array path, so they get the
+        exact result of numpy's cast.
+        """
+        scaled = float(value) * self._inv_scale
+        if not -_INT64_LIMIT <= scaled < _INT64_LIMIT:
+            return int(self.encode(np.float64(value)))
+        raw = round(scaled)
+        if raw < self._min_raw_int:
+            raw = self._min_raw_int
+        elif raw > self._max_raw_int:
+            raw = self._max_raw_int
+        return raw & self._word_mask_int
+
+    def decode_word(self, word: int) -> float:
+        """Decode one raw word to its real value; scalar :meth:`decode`."""
+        word = int(word) & self._word_mask_int
+        if word & self._sign_bit_int:
+            word -= self._modulus_int
+        return float(word) * self._scale
 
     # ------------------------------------------------------------------ #
     # Fused forward-path helpers (kernel-dispatched)

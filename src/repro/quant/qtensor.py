@@ -1,11 +1,21 @@
-"""Quantized tensors with a synchronized bit-level view.
+"""Quantized tensors addressable by value and by bit.
 
-A :class:`QTensor` keeps a real-valued numpy array together with its raw
-two's-complement integer representation under a given
-:class:`~repro.quant.qformat.QFormat`.  Fault injectors mutate the raw view
-(bit flips, stuck-at patterns); consumers read the decoded value view.  The
-two views are kept consistent: writing values re-encodes the raw words,
-mutating raw words re-decodes the values.
+A :class:`QTensor` stores the raw two's-complement words of a real-valued
+array under a given :class:`~repro.quant.qformat.QFormat`.  The raw words
+are the only source of truth: fault injectors mutate them (bit flips,
+stuck-at patterns) and every value read decodes them.
+
+Two kinds of value access sit on top of the words:
+
+* :attr:`QTensor.values` decodes the whole tensor into a fresh array on
+  every read, and its setter re-encodes the whole tensor.  Inference paths
+  that consume a buffer once per pass use it.
+* :meth:`QTensor.row`, :meth:`QTensor.item` and :meth:`QTensor.set_item`
+  read and write single elements through a decoded view that is built on
+  the first element read and dropped by every raw mutation.  An element
+  write quantizes and encodes only the touched word and writes it through
+  to both the raw words and the view.  Tabular training, which touches one
+  row and one element per step, uses these.
 """
 
 from __future__ import annotations
@@ -45,6 +55,7 @@ class QTensor:
         values = np.asarray(values, dtype=np.float64)
         self._raw = qformat.encode(values)
         self._shape = values.shape
+        self._view: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -58,6 +69,7 @@ class QTensor:
         raw = np.asarray(raw, dtype=np.int64) & qformat.word_mask
         obj._raw = raw
         obj._shape = raw.shape
+        obj._view = None
         return obj
 
     @classmethod
@@ -106,6 +118,7 @@ class QTensor:
                 f"shape mismatch: tensor is {self._shape}, got {new_values.shape}"
             )
         self._raw = self.qformat.encode(new_values)
+        self._view = None
 
     @property
     def raw(self) -> np.ndarray:
@@ -120,6 +133,35 @@ class QTensor:
                 f"shape mismatch: tensor is {self._shape}, got {new_raw.shape}"
             )
         self._raw = new_raw & self.qformat.word_mask
+        self._view = None
+
+    # ------------------------------------------------------------------ #
+    # Element access (cached decoded view)
+    # ------------------------------------------------------------------ #
+    def _decoded(self) -> np.ndarray:
+        view = self._view
+        if view is None:
+            view = self._view = self.qformat.decode(self._raw)
+        return view
+
+    def row(self, index) -> list:
+        """Decoded values of ``tensor[index]`` as a list of Python floats."""
+        return self._decoded()[index].tolist()
+
+    def item(self, index) -> float:
+        """Decoded value of one element.
+
+        ``index`` addresses a single element, as in :meth:`set_item`: a
+        tuple with one entry per axis (or an int for a 1-D tensor).
+        """
+        return self._decoded().item(index)
+
+    def set_item(self, index, value: float) -> None:
+        """Quantize ``value`` into one element, touching only its word."""
+        word = self.qformat.encode_word(value)
+        self._raw[index] = word
+        if self._view is not None:
+            self._view[index] = self.qformat.decode_word(word)
 
     # ------------------------------------------------------------------ #
     # Fault primitives
@@ -133,6 +175,7 @@ class QTensor:
         self._raw = flip_bits(
             self._raw, element_indices, bit_positions, self.qformat.total_bits
         )
+        self._view = None
 
     def inject_stuck_at(
         self,
@@ -148,6 +191,7 @@ class QTensor:
             stuck_value,
             self.qformat.total_bits,
         )
+        self._view = None
 
     def inject_bit_ops(
         self,
@@ -169,6 +213,7 @@ class QTensor:
             op_codes,
             self.qformat.total_bits,
         )
+        self._view = None
 
     def inject_random_bit_flips(
         self, bit_error_rate: float, rng: np.random.Generator

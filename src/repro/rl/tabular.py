@@ -8,7 +8,7 @@ Sec. 3.2) so the fault injector can flip or stick its bits directly.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -17,12 +17,26 @@ from repro.quant.qtensor import QTensor
 from repro.rl.base import Agent, Transition
 from repro.rl.schedules import ConstantSchedule, DecayingEpsilonGreedy
 
-__all__ = ["TabularQAgent"]
+__all__ = ["TabularQAgent", "greedy_tie_break"]
 
 Schedule = Union[ConstantSchedule, DecayingEpsilonGreedy]
 
 #: Name of the tabular value buffer in :meth:`TabularQAgent.memory_buffers`.
 QTABLE_BUFFER = "qtable"
+
+
+def greedy_tie_break(row: Sequence[float], rng: np.random.Generator) -> int:
+    """Index of the largest entry of ``row``, ties broken uniformly at random.
+
+    Returns what ``rng.choice(np.flatnonzero(row == row.max()))`` returns and
+    leaves ``rng`` in the same state.  A unique maximum is returned without
+    calling ``rng``: ``Generator.choice`` over one element draws nothing.
+    """
+    top = max(row)
+    best = [index for index, value in enumerate(row) if value == top]
+    if len(best) == 1:
+        return best[0]
+    return int(rng.choice(best))
 
 
 class TabularQAgent(Agent):
@@ -107,29 +121,34 @@ class TabularQAgent(Agent):
         """Epsilon-greedy action selection (ties broken randomly)."""
         if explore and self.rng.random() < self.schedule.epsilon:
             return int(self.rng.integers(self.n_actions))
-        q = self.q_values(state)
-        best = np.flatnonzero(q == q.max())
-        return int(self.rng.choice(best))
+        self._check_state(state)
+        scale = self.value_scale
+        return greedy_tie_break([q / scale for q in self._table.row(state)], self.rng)
 
     # ------------------------------------------------------------------ #
     # Learning
     # ------------------------------------------------------------------ #
     def observe(self, transition: Transition) -> None:
-        """Apply the Bellman backup of Eq. 4 to the quantized table."""
+        """Apply the Bellman backup of Eq. 4 to the quantized table.
+
+        Reads one element and one row and writes back one element through
+        the table's element accessors, so a step encodes a single word.
+        """
         state = int(transition.state)
         next_state = int(transition.next_state)
         self._check_state(state)
         self._check_state(next_state)
-        values = self._table.values
-        current = values[state, transition.action] / self.value_scale
+        table = self._table
+        scale = self.value_scale
+        index = (state, transition.action)
+        current = table.item(index) / scale
         if transition.done:
             bootstrap = 0.0
         else:
-            bootstrap = float(values[next_state].max()) / self.value_scale
+            bootstrap = max(table.row(next_state)) / scale
         target = transition.reward + self.gamma * bootstrap
         updated = current + self.learning_rate * (target - current)
-        values[state, transition.action] = updated * self.value_scale
-        self._table.values = values
+        table.set_item(index, updated * scale)
 
     def end_episode(self) -> None:
         self.schedule.step()

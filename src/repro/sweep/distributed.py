@@ -243,6 +243,22 @@ class SweepWorkQueue:
             handle.write(lease.to_json())
         return True
 
+    def _acquire_pending(self, index: int, worker: str) -> bool:
+        """Acquire the lease on a point that is still not done.
+
+        The done check before an acquire is not enough: the previous holder
+        may write its done marker and unlink its lease between that check
+        and our exclusive create, which would then rerun a finished point.
+        So the marker is checked again while the lease is held, and the
+        lease released when the point turns out to be done.
+        """
+        if not self._try_acquire(index, worker):
+            return False
+        if self.is_done(index):
+            self.release(index)
+            return False
+        return True
+
     def read_lease(self, index: int) -> Optional[PointLease]:
         try:
             return PointLease.from_json(self.lease_path(index).read_text())
@@ -275,13 +291,15 @@ class SweepWorkQueue:
         or an *expired* one (its worker stopped heartbeating for longer
         than ``lease_timeout_s``).  Stealing an expired lease is unlink +
         exclusive re-create, so concurrent stealers still end with exactly
-        one owner.
+        one owner.  Every acquire rechecks the done marker while holding
+        the lease (:meth:`_acquire_pending`), so a point finished by
+        another worker mid-claim is never handed out again.
         """
         bus = default_bus()
         for index in range(self.n_points):
             if self.is_done(index):
                 continue
-            if self._try_acquire(index, worker):
+            if self._acquire_pending(index, worker):
                 if bus.active:
                     bus.emit(LeaseAcquired(point=index, worker=worker))
                 return index
@@ -289,7 +307,7 @@ class SweepWorkQueue:
             if lease is None:
                 # Released (or broken) between our create attempt and the
                 # read — contend for it again.
-                if self._try_acquire(index, worker):
+                if self._acquire_pending(index, worker):
                     if bus.active:
                         bus.emit(LeaseAcquired(point=index, worker=worker))
                     return index
@@ -305,7 +323,7 @@ class SweepWorkQueue:
                         )
                     )
                 self.release(index)  # break the dead worker's lease
-                if self._try_acquire(index, worker):
+                if self._acquire_pending(index, worker):
                     if bus.active:
                         bus.emit(
                             LeaseStolen(
@@ -320,6 +338,13 @@ class SweepWorkQueue:
     # -- completion ------------------------------------------------------ #
     def is_done(self, index: int) -> bool:
         return self.done_path(index).is_file()
+
+    def done_worker(self, index: int) -> Optional[str]:
+        """The worker named by the point's done marker (``None`` if unreadable)."""
+        try:
+            return str(json.loads(self.done_path(index).read_text())["worker"])
+        except (OSError, ValueError, KeyError, TypeError):
+            return None
 
     def mark_done(self, index: int, worker: str) -> None:
         """Record completion (idempotent: the first marker wins) and unlease."""
@@ -733,13 +758,20 @@ class DistributedSweepRunner:
 
     @staticmethod
     def _merge_results(queue: SweepWorkQueue) -> Dict[int, SweepPoint]:
-        """Parse every worker's result file into points (last record wins).
+        """Parse every worker's result file into points.
+
+        A point executed more than once (a stolen lease whose first holder
+        still finished) keeps the record of the worker its done marker
+        names: the first execution to complete.  A later rerun may have hit
+        the store and reports zero executed trials, so it must not replace
+        the real count.  Without a readable marker the last record wins.
 
         Truncated trailing lines (a worker killed mid-write) and error
         records are skipped — their points simply stay unaccounted and are
         re-run elsewhere.
         """
         merged: Dict[int, SweepPoint] = {}
+        written_by: Dict[int, str] = {}
         try:
             names = sorted(os.listdir(queue.results_dir))
         except OSError:
@@ -747,6 +779,7 @@ class DistributedSweepRunner:
         for name in names:
             if not name.endswith(".jsonl"):
                 continue
+            worker = name[: -len(".jsonl")]
             try:
                 lines = (queue.results_dir / name).read_text().splitlines()
             except OSError:
@@ -760,7 +793,12 @@ class DistributedSweepRunner:
                     if "point" not in record:
                         continue  # an error record
                     index = int(record["index"])
-                    merged[index] = SweepPoint.from_json_dict(record["point"])
+                    point = SweepPoint.from_json_dict(record["point"])
                 except (ValueError, KeyError, TypeError):
                     continue
+                kept = written_by.get(index)
+                if kept is not None and kept == queue.done_worker(index):
+                    continue  # the finisher's record stays
+                merged[index] = point
+                written_by[index] = worker
         return merged

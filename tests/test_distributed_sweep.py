@@ -20,6 +20,7 @@ failing spec below) are visible inside them without re-import.
 import json
 import os
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -166,6 +167,73 @@ class TestWorkQueue:
         queue.mark_done(0, "b")  # duplicate completion: first marker wins
         assert queue.done_count() == 1
         assert json.loads(queue.done_path(0).read_text())["worker"] == "a"
+        assert queue.done_worker(0) == "a"
+        assert queue.done_worker(1) is None
+
+    def test_point_finished_during_lease_read_is_not_reclaimed(self, tmp_path, monkeypatch):
+        """The holder finishes between a failed acquire and the lease read.
+
+        The read then sees no lease and the late worker acquires again; the
+        done marker, rechecked under that lease, must turn it away.
+        """
+        queue = SweepWorkQueue(tmp_path, n_points=1)
+        queue.initialize()
+        assert queue.claim("holder") == 0
+        read_lease = queue.read_lease
+
+        def holder_finishes_first(index):
+            queue.mark_done(index, "holder")
+            return read_lease(index)
+
+        monkeypatch.setattr(queue, "read_lease", holder_finishes_first)
+        assert queue.claim("late") is None
+        assert not queue.lease_path(0).exists()  # the late lease was released
+        assert queue.done_worker(0) == "holder"
+
+    def test_point_finished_after_done_check_is_not_reclaimed(self, tmp_path, monkeypatch):
+        """The holder finishes between the done check and the first acquire."""
+        queue = SweepWorkQueue(tmp_path, n_points=1)
+        queue.initialize()
+        assert queue.claim("holder") == 0
+        is_done = queue.is_done
+        checks = []
+
+        def holder_finishes_after_first_check(index):
+            done = is_done(index)
+            if not checks:
+                queue.mark_done(index, "holder")
+            checks.append(done)
+            return done
+
+        monkeypatch.setattr(queue, "is_done", holder_finishes_after_first_check)
+        assert queue.claim("late") is None
+        assert checks[0] is False and len(checks) > 1 and all(checks[1:])
+        assert not queue.lease_path(0).exists()
+
+
+class TestMergeResults:
+    @pytest.mark.parametrize("finisher", ["worker-a", "worker-b"])
+    def test_done_marker_worker_record_wins(self, tmp_path, finisher):
+        """A rerun's record (served from the store: 0 trials) must not
+        replace the count of the execution that completed the point."""
+        point = SweepRunner(cache="off").run(
+            _sweep_spec(ps=(0.2,)), ExecutionConfig(seed=1, repetitions=3)
+        ).points[0]
+        assert point.executed_trials == 3
+        records = {
+            "worker-a": replace(point, executed_trials=3),
+            "worker-b": replace(point, executed_trials=0, cache_hit=True),
+        }
+        queue = SweepWorkQueue(tmp_path, n_points=1)
+        queue.initialize()
+        for worker, record in records.items():
+            queue.result_path(worker).write_text(
+                json.dumps({"index": 0, "point": record.to_json_dict()}) + "\n"
+            )
+        queue.mark_done(0, finisher)
+        merged = DistributedSweepRunner._merge_results(queue)
+        assert merged[0].executed_trials == records[finisher].executed_trials
+        assert merged[0].cache_hit == records[finisher].cache_hit
 
 
 class TestFaultTolerance:

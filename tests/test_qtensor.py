@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.quant import Q8_GRID, Q16_NARROW, QTensor
+from repro import kernels
+from repro.core.injector import PermanentTrainingFaultHook
+from repro.core.sites import FaultPattern
+from repro.quant import Q8_GRID, Q16_MID, Q16_NARROW, Q16_WIDE, QFormat, QTensor
+from repro.quant.bitops import OP_FLIP, OP_SET
 from repro.quant.statistics import bit_histogram, bit_level_stats, value_histogram
+from repro.rl.base import Transition
+from repro.rl.tabular import TabularQAgent
 
 
 class TestQTensorViews:
@@ -153,3 +159,189 @@ def test_property_values_always_in_format_range(values):
     decoded = tensor.values
     assert decoded.max() <= Q16_NARROW.max_value
     assert decoded.min() >= Q16_NARROW.min_value
+
+
+# --------------------------------------------------------------------------- #
+# Element access and the cached decoded view
+# --------------------------------------------------------------------------- #
+FORMATS = [Q8_GRID, Q16_NARROW, Q16_MID, Q16_WIDE]
+
+
+def _codec_inputs(fmt: QFormat) -> np.ndarray:
+    """Every Q8 word's value, half-LSB ties, saturation and random floats."""
+    lsb = fmt.scale
+    if fmt is Q8_GRID:
+        grid = fmt.decode(np.arange(1 << fmt.total_bits, dtype=np.int64))
+    else:
+        grid = np.random.default_rng(fmt.total_bits + fmt.fraction_bits).uniform(
+            1.5 * fmt.min_value, 1.5 * fmt.max_value, size=512
+        )
+        grid = np.concatenate([grid, fmt.quantize(grid)])
+    edges = np.array([
+        fmt.min_value, fmt.max_value, fmt.min_value - lsb, fmt.max_value + lsb,
+        fmt.min_value - lsb / 2, fmt.max_value + lsb / 2, 1e6, -1e6, 0.0, -0.0,
+    ])
+    values = np.concatenate([grid, grid + lsb / 2, grid - lsb / 2, edges])
+    return np.concatenate([values, np.zeros(-values.size % 4)])  # whole rows of 4
+
+
+class TestWordCodec:
+    @pytest.mark.parametrize("fmt", FORMATS, ids=str)
+    def test_encode_word_matches_encode(self, fmt):
+        values = _codec_inputs(fmt)
+        words = [fmt.encode_word(x) for x in values]
+        assert words == fmt.encode(values).tolist()
+
+    def test_half_lsb_rounds_to_even(self):
+        lsb = Q8_GRID.scale
+        assert Q8_GRID.encode_word(0.5 * lsb) == 0
+        assert Q8_GRID.encode_word(1.5 * lsb) == 2
+        assert Q8_GRID.encode_word(-0.5 * lsb) == 0
+        assert Q8_GRID.decode_word(Q8_GRID.encode_word(-1.5 * lsb)) == -2 * lsb
+
+    def test_saturates_at_both_ends(self):
+        assert Q8_GRID.encode_word(100.0) == Q8_GRID.encode_word(Q8_GRID.max_value)
+        assert Q8_GRID.encode_word(-100.0) == Q8_GRID.encode_word(Q8_GRID.min_value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e300, -1e300])
+    def test_non_finite_and_huge_match_encode(self, value):
+        with np.errstate(invalid="ignore"):
+            expected = int(Q8_GRID.encode(np.array(value)))
+            assert Q8_GRID.encode_word(value) == expected
+
+    @pytest.mark.parametrize("fmt", FORMATS, ids=str)
+    def test_decode_word_matches_decode(self, fmt):
+        words = fmt.encode(_codec_inputs(fmt))
+        decoded = [fmt.decode_word(w) for w in words.tolist()]
+        assert decoded == fmt.decode(words).tolist()
+
+
+class TestElementAccess:
+    @pytest.mark.parametrize("fmt", FORMATS, ids=str)
+    @pytest.mark.parametrize("view_built", [False, True])
+    def test_item_write_then_read(self, fmt, view_built):
+        values = _codec_inputs(fmt)
+        tensor = QTensor.zeros((values.size // 4, 4), fmt)
+        if view_built:
+            tensor.row(0)
+        for flat, x in enumerate(values):
+            tensor.set_item(divmod(flat, 4), x)
+        expected = values.reshape(tensor.shape)
+        assert np.array_equal(tensor.raw, fmt.encode(expected))
+        decoded = fmt.decode(fmt.encode(expected))
+        for row in range(tensor.shape[0]):
+            assert tensor.row(row) == decoded[row].tolist()
+            for col in range(4):
+                assert tensor.item((row, col)) == decoded[row, col]
+
+    def test_values_stays_a_fresh_decode(self, small_qtensor):
+        small_qtensor.row(0)
+        before = kernels.counters_snapshot().get("decode", 0)
+        first = small_qtensor.values
+        first[:] = 0.0
+        assert not np.array_equal(small_qtensor.values, first)
+        assert kernels.counters_snapshot().get("decode", 0) - before == 2
+
+    def test_element_reads_decode_once_per_raw_change(self, small_qtensor):
+        before = kernels.counters_snapshot().get("decode", 0)
+        for _ in range(3):
+            small_qtensor.row(1)
+            small_qtensor.item((2, 3))
+            small_qtensor.set_item((0, 0), 1.25)
+        assert kernels.counters_snapshot().get("decode", 0) - before == 1
+        small_qtensor.inject_bit_flips(np.array([0]), np.array([0]))
+        small_qtensor.row(0)
+        assert kernels.counters_snapshot().get("decode", 0) - before == 2
+
+
+_ELEMENTS, _BITS = np.array([0, 3, 3, 7]), np.array([7, 0, 5, 2])
+
+
+def _from_raw(t):
+    return QTensor.from_raw(t.raw ^ 0x5A, t.qformat)
+
+
+def _set_raw(t):
+    t.raw = t.raw ^ 0x33
+    return t
+
+
+def _set_values(t):
+    t.values = -t.values
+    return t
+
+
+def _flip(t):
+    t.inject_bit_flips(_ELEMENTS, _BITS)
+    return t
+
+
+def _stuck_at(value):
+    def mutate(t):
+        t.inject_stuck_at(_ELEMENTS, _BITS, value)
+        return t
+    return mutate
+
+
+def _bit_ops(t):
+    t.inject_bit_ops(_ELEMENTS[:2], _BITS[:2], np.array([OP_SET, OP_FLIP]))
+    return t
+
+
+def _random_flips(t):
+    t.inject_random_bit_flips(0.2, np.random.default_rng(3))
+    return t
+
+
+MUTATORS = {
+    "from_raw": _from_raw,
+    "raw_setter": _set_raw,
+    "values_setter": _set_values,
+    "inject_bit_flips": _flip,
+    "inject_stuck_at_0": _stuck_at(0),
+    "inject_stuck_at_1": _stuck_at(1),
+    "inject_bit_ops": _bit_ops,
+    "inject_random_bit_flips": _random_flips,
+}
+
+
+class TestViewCoherence:
+    @pytest.mark.parametrize("name", sorted(MUTATORS))
+    def test_reads_follow_every_raw_mutator(self, small_qtensor, name):
+        small_qtensor.row(0)  # build the view before the mutation
+        before = small_qtensor.raw
+        tensor = MUTATORS[name](small_qtensor)
+        assert not np.array_equal(tensor.raw, before)
+        decoded = tensor.qformat.decode(tensor.raw)
+        for row in range(tensor.shape[0]):
+            assert tensor.row(row) == decoded[row].tolist()
+            for col in range(tensor.shape[1]):
+                assert tensor.item((row, col)) == decoded[row, col]
+
+    def test_copy_and_replicate_read_their_own_words(self, small_qtensor):
+        small_qtensor.row(0)
+        copy = small_qtensor.copy()
+        copy.set_item((0, 0), 5.0)
+        assert small_qtensor.item((0, 0)) != 5.0
+        stacked = small_qtensor.replicate(2)
+        assert stacked.row((1, 2)) == small_qtensor.row(2)
+
+    def test_stuck_bits_reach_select_action_after_reapply(self):
+        """A permanent training fault re-applied mid-training is what the
+        next greedy decision sees, even though the agent's own write
+        cleared the stuck bit in between."""
+        agent = TabularQAgent(4, 4, initial_q=0.0, rng=np.random.default_rng(0))
+        table = agent.memory_buffers()["qtable"]
+        table.set_item((0, 2), 1.5)  # action 2 is the clean greedy choice
+        assert agent.select_action(0, explore=False) == 2
+        hook = PermanentTrainingFaultHook(0.0, stuck_value=1)
+        # Stick bit 6 (+4.0 in Q(1,3,4)) of element (0, 1).
+        hook.patterns = [FaultPattern("qtable", [1], [6], stuck_value=1)]
+        hook.on_episode_start(1, agent, env=None)
+        assert agent.select_action(0, explore=False) == 1
+        agent.observe(Transition(0, 1, -1.0, 3, True))  # rewrites (0, 1)
+        assert agent.select_action(0, explore=False) == 2
+        hook.on_episode_end(1, agent, env=None, record=None)
+        assert agent.select_action(0, explore=False) == 1
+        assert table.item((0, 1)) >= 4.0
+        assert table.row(0) == table.qformat.decode(table.raw)[0].tolist()

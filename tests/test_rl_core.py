@@ -17,6 +17,7 @@ from repro.rl import (
     greedy_rollout,
     train_agent,
 )
+from repro.rl.tabular import greedy_tie_break
 
 
 class TestSchedules:
@@ -127,6 +128,28 @@ class TestReplayBuffer:
         buffer.push(self.make_transition(0))
         buffer.clear()
         assert len(buffer) == 0
+
+
+class TestGreedyTieBreak:
+    @pytest.mark.parametrize("n_tied", [1, 2, 3, 4])
+    def test_matches_choice_over_flatnonzero(self, n_tied):
+        for seed in range(50):
+            layout = np.random.default_rng(seed)
+            row = layout.integers(-8, 0, size=6).astype(np.float64) / 16
+            row[layout.choice(6, size=n_tied, replace=False)] = 0.5
+            reference_rng = np.random.default_rng(seed)
+            helper_rng = np.random.default_rng(seed)
+            expected = int(reference_rng.choice(np.flatnonzero(row == row.max())))
+            assert greedy_tie_break(row.tolist(), helper_rng) == expected
+            assert greedy_tie_break(row, np.random.default_rng(seed)) == expected
+            assert helper_rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_single_element_choice_draws_nothing(self):
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            before = rng.bit_generator.state
+            assert rng.choice(np.array([3])) == 3
+            assert rng.bit_generator.state == before
 
 
 class TestTabularAgent:
