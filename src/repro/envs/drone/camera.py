@@ -58,11 +58,7 @@ class DepthCamera:
         self, world: CorridorWorld, x: float, y: float, heading: float
     ) -> np.ndarray:
         """Per-column distance to the nearest surface, left-to-right."""
-        angles = heading + self._offsets
-        return np.array(
-            [world.ray_distance(x, y, a, self.max_range) for a in angles],
-            dtype=np.float64,
-        )
+        return self.depth_profiles(world, [x], [y], [heading])[0]
 
     def render(
         self, world: CorridorWorld, x: float, y: float, heading: float
@@ -74,22 +70,7 @@ class DepthCamera:
         apparent height of the surface, so near obstacles occupy most of the
         column while distant walls leave visible floor/ceiling bands.
         """
-        depth = self.depth_profile(world, x, y, heading)
-        inverse = 1.0 - np.clip(depth / self.max_range, 0.0, 1.0)
-
-        image = np.zeros((self.height, self.width), dtype=np.float64)
-        # Distance of each row from the vertical centre, normalized to [0, 1].
-        vertical = self._vertical
-        for col in range(self.width):
-            # Apparent half-height of the surface in this column: near
-            # surfaces (inverse ~ 1) fill the column, far ones only the middle.
-            apparent = 0.15 + 0.85 * inverse[col]
-            filled = vertical <= apparent
-            image[filled, col] = inverse[col]
-            # Floor/ceiling gradient outside the surface extent gives the
-            # network a weak horizon cue, like a rendered corridor image.
-            image[~filled, col] = 0.1 * (1.0 - vertical[~filled])
-        return image[None, :, :]
+        return self.render_batch(world, [x], [y], [heading])[0]
 
     def depth_profiles(
         self,
@@ -98,7 +79,7 @@ class DepthCamera:
         ys: np.ndarray,
         headings: np.ndarray,
     ) -> np.ndarray:
-        """Vectorized :meth:`depth_profile`: a (B, width) distance array."""
+        """Per-column surface distances for B poses: a (B, width) array."""
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
         headings = np.asarray(headings, dtype=np.float64)
@@ -112,12 +93,7 @@ class DepthCamera:
         ys: np.ndarray,
         headings: np.ndarray,
     ) -> np.ndarray:
-        """Vectorized :meth:`render`: a (B, 1, H, W) image stack.
-
-        One broadcast ``np.where`` replaces the per-column Python loop; the
-        per-pixel arithmetic is identical to the scalar renderer, so images
-        match :meth:`render` bit-for-bit.
-        """
+        """Render B poses at once: a (B, 1, H, W) image stack (see :meth:`render`)."""
         return self.images_from_depths(self.depth_profiles(world, xs, ys, headings))
 
     def images_from_depths(self, depths: np.ndarray) -> np.ndarray:
@@ -131,6 +107,8 @@ class DepthCamera:
         vertical = self._vertical  # (H,)
         apparent = 0.15 + 0.85 * inverse  # (B, W)
         filled = vertical[None, :, None] <= apparent[:, None, :]  # (B, H, W)
+        # Outside the surface's extent a floor/ceiling gradient gives the
+        # network a weak horizon cue, like a rendered corridor image.
         images = np.where(
             filled, inverse[:, None, :], self._background[None, :, None]
         )

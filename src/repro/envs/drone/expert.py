@@ -22,6 +22,10 @@ from repro.envs.drone.env import DroneNavEnv
 
 __all__ = ["GreedyDepthExpert", "collect_dataset"]
 
+#: Pose draws ``collect_dataset`` makes per requested sample before it gives
+#: up on a world whose free space (at the collision margin) is empty or tiny.
+_ATTEMPTS_PER_SAMPLE = 1000
+
 
 class GreedyDepthExpert:
     """Scores each action by simulating it against the world geometry.
@@ -55,35 +59,37 @@ class GreedyDepthExpert:
         self.clearance_weight = clearance_weight
         self.straight_bonus = straight_bonus
 
-    def _simulate_action(
-        self, x: float, y: float, heading: float, action: int
-    ) -> Optional[Tuple[float, float, float]]:
-        """Post-action pose, or None if the move collides."""
-        yaw_offset, forward = self.env.actions.command(action)
-        new_heading = heading + yaw_offset
-        margin = self.env.collision_radius + 0.05
-        step = forward / self.env.substeps
-        for _ in range(self.env.substeps):
-            x = x + step * float(np.cos(new_heading))
-            y = y + step * float(np.sin(new_heading))
-            if not self.env.world.is_free(x, y, margin=margin):
-                return None
-        return x, y, new_heading
-
     def action_scores(self, pose: Optional[Tuple[float, float, float]] = None) -> np.ndarray:
-        """Score in [0, ~1.5] for each action; higher is safer/more open."""
+        """Score in [0, ~1.5] for each action; higher is safer/more open.
+
+        All actions are simulated at once: the sub-step positions of every
+        action go through one :meth:`CorridorWorld.free_mask` query, and the
+        look-ahead and clearance rays from every post-action pose through one
+        :meth:`~CorridorWorld.ray_distances` and one
+        :meth:`~CorridorWorld.clearances` pass.
+        """
         x, y, heading = pose if pose is not None else self.env.pose
-        world = self.env.world
-        scores = np.zeros(self.env.actions.n_actions, dtype=np.float64)
-        for action in range(self.env.actions.n_actions):
-            outcome = self._simulate_action(x, y, heading, action)
-            if outcome is None:
-                continue
-            nx, ny, nheading = outcome
-            ahead = world.ray_distance(nx, ny, nheading, self.lookahead) / self.lookahead
-            clearance = min(world.clearance(nx, ny), 3.0) / 3.0
-            scores[action] = ahead + self.clearance_weight * clearance
-        scores[self.env.actions.straight_action] += self.straight_bonus
+        env = self.env
+        world = env.world
+        headings = heading + env.actions.yaw_offsets
+        step = env.actions.forward_step / env.substeps
+        dx = step * np.cos(headings)
+        dy = step * np.sin(headings)
+        # Partial sums accumulated sub-step by sub-step, so each position
+        # is the same float as in a sequential x += step * cos(heading).
+        xs = np.empty((env.substeps, headings.size), dtype=np.float64)
+        ys = np.empty_like(xs)
+        xs[0] = x + dx
+        ys[0] = y + dy
+        for i in range(1, env.substeps):
+            xs[i] = xs[i - 1] + dx
+            ys[i] = ys[i - 1] + dy
+        free = world.free_mask(xs, ys, margin=env.collision_radius + 0.05).all(axis=0)
+        nx, ny = xs[-1], ys[-1]
+        ahead = world.ray_distances(nx, ny, headings, self.lookahead) / self.lookahead
+        clearance = np.minimum(world.clearances(nx, ny), 3.0) / 3.0
+        scores = np.where(free, ahead + self.clearance_weight * clearance, 0.0)
+        scores[env.actions.straight_action] += self.straight_bonus
         return scores
 
     def select_action(self, state: np.ndarray = None) -> int:
@@ -108,12 +114,20 @@ def collect_dataset(
     images: List[np.ndarray] = []
     targets: List[np.ndarray] = []
     world = env.world
-    while len(images) < num_samples:
+    margin = env.collision_radius
+    max_attempts = _ATTEMPTS_PER_SAMPLE * num_samples
+    for _ in range(max_attempts):
         x = rng.uniform(0.0, world.length)
         y = rng.uniform(0.0, world.width)
-        if not world.is_free(x, y, margin=env.collision_radius):
+        if not world.is_free(x, y, margin=margin):
             continue
         heading = rng.uniform(-np.pi, np.pi)
         images.append(env.camera.render(world, x, y, heading))
         targets.append(expert.action_scores((x, y, heading)))
-    return np.stack(images), np.stack(targets)
+        if len(images) == num_samples:
+            return np.stack(images), np.stack(targets)
+    raise ValueError(
+        f"found {len(images)} of {num_samples} free poses in {max_attempts} "
+        f"draws: world {world.name!r} has almost no point with clearance "
+        f"margin {margin}"
+    )

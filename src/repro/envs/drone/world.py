@@ -10,14 +10,14 @@ against it for collision detection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 __all__ = ["Rect", "CorridorWorld", "indoor_long", "indoor_vanleer", "wrap_angle"]
 
 #: Direction components smaller than this are treated as axis-parallel in the
-#: slab intersection and the boundary distance (matches the scalar code).
+#: slab intersection and the boundary distance.
 _DIR_EPS = 1e-12
 
 
@@ -68,35 +68,6 @@ class Rect:
             self.x0 - margin <= x <= self.x1 + margin
             and self.y0 - margin <= y <= self.y1 + margin
         )
-
-    def ray_intersection(
-        self, ox: float, oy: float, dx: float, dy: float
-    ) -> Optional[float]:
-        """Distance along the ray to the rectangle, or None if it misses.
-
-        Standard slab method; only intersections in front of the origin
-        (positive distance) count.
-        """
-        t_min, t_max = -np.inf, np.inf
-        for origin, direction, lo, hi in (
-            (ox, dx, self.x0, self.x1),
-            (oy, dy, self.y0, self.y1),
-        ):
-            if abs(direction) < 1e-12:
-                if origin < lo or origin > hi:
-                    return None
-                continue
-            t1 = (lo - origin) / direction
-            t2 = (hi - origin) / direction
-            if t1 > t2:
-                t1, t2 = t2, t1
-            t_min = max(t_min, t1)
-            t_max = min(t_max, t2)
-            if t_min > t_max:
-                return None
-        if t_max < 0:
-            return None
-        return float(max(t_min, 0.0))
 
 
 class CorridorWorld:
@@ -162,10 +133,11 @@ class CorridorWorld:
         return free
 
     def clearance(self, x: float, y: float, num_rays: int = 16, max_range: float = 10.0) -> float:
-        """Approximate distance to the nearest surface, by radial ray casting."""
-        angles = _radial_fan(num_rays)
-        distances = [self.ray_distance(x, y, a, max_range) for a in angles]
-        return float(min(distances))
+        """Approximate distance to the nearest surface, by radial ray casting.
+
+        A single-point :meth:`clearances`, kept for scalar callers.
+        """
+        return float(self.clearances(x, y, num_rays, max_range))
 
     def clearances(
         self,
@@ -174,7 +146,7 @@ class CorridorWorld:
         num_rays: int = 16,
         max_range: float = 10.0,
     ) -> np.ndarray:
-        """Vectorized :meth:`clearance` over point arrays (bit-identical)."""
+        """Minimum over a radial fan of ``num_rays`` rays, per point."""
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
         angles = _radial_fan(num_rays)
@@ -185,14 +157,11 @@ class CorridorWorld:
     # Ray casting
     # ------------------------------------------------------------------ #
     def ray_distance(self, x: float, y: float, angle: float, max_range: float = 30.0) -> float:
-        """Distance from (x, y) along ``angle`` to the first surface."""
-        dx, dy = float(np.cos(angle)), float(np.sin(angle))
-        best = self._boundary_distance(x, y, dx, dy)
-        for rect in self.obstacles:
-            hit = rect.ray_intersection(x, y, dx, dy)
-            if hit is not None and hit < best:
-                best = hit
-        return float(min(best, max_range))
+        """Distance from (x, y) along ``angle`` to the first surface.
+
+        A single-ray :meth:`ray_distances`, kept for scalar callers.
+        """
+        return float(self.ray_distances(x, y, angle, max_range))
 
     def ray_distances(
         self,
@@ -201,13 +170,15 @@ class CorridorWorld:
         angles: np.ndarray,
         max_range: float = 30.0,
     ) -> np.ndarray:
-        """Vectorized :meth:`ray_distance` over arrays of origins and angles.
+        """Distance to the first surface for arrays of origins and angles.
 
         Inputs broadcast against each other; the result has the broadcast
         shape.  One numpy pass handles every ray against every obstacle slab
-        and the boundary planes, producing results bit-identical to the
-        scalar path: the per-element arithmetic (subtract, divide, min, max,
-        compare) is IEEE-exact and performed in the same order.
+        and the boundary planes.  The per-element arithmetic (subtract,
+        divide, min, max, compare) is the per-rectangle slab method's, in the
+        same order, so the result is bit-identical to casting each ray
+        against each rectangle in turn (``tests/test_envs.py`` keeps that
+        loop as the reference).
         """
         xs, ys, angles = np.broadcast_arrays(
             np.asarray(xs, dtype=np.float64),
@@ -223,7 +194,7 @@ class CorridorWorld:
             # Slab method with masks.  Divisions run for every lane (the
             # degenerate ones produce inf/nan under errstate) and np.where
             # then substitutes the open slab (-inf, +inf) for axis-parallel
-            # rays, exactly as the scalar code skips those axes.
+            # rays, exactly as the per-rectangle slab method skips those axes.
             with np.errstate(divide="ignore", invalid="ignore"):
                 t1x = (self._rect_x0 - ox) / rdx
                 t2x = (self._rect_x1 - ox) / rdx
@@ -250,7 +221,7 @@ class CorridorWorld:
     def _boundary_distances(
         self, xs: np.ndarray, ys: np.ndarray, dx: np.ndarray, dy: np.ndarray
     ) -> np.ndarray:
-        """Vectorized :meth:`_boundary_distance` over ray arrays."""
+        """Distance to the outer walls along rays starting inside the world."""
         with np.errstate(divide="ignore", invalid="ignore"):
             cx = np.where(
                 dx > _DIR_EPS,
@@ -262,25 +233,11 @@ class CorridorWorld:
                 (self.width - ys) / dy,
                 np.where(dy < -_DIR_EPS, -ys / dy, np.inf),
             )
-        # The scalar code drops negative candidates; inf stands in for "no
-        # candidate" so the final minimum matches min(positive) exactly.
+        # Negative candidates (walls behind the ray) are dropped; inf stands
+        # in for "no candidate", so the minimum is min(positive) exactly.
         cx = np.where(cx >= 0, cx, np.inf)
         cy = np.where(cy >= 0, cy, np.inf)
         return np.minimum(cx, cy)
-
-    def _boundary_distance(self, x: float, y: float, dx: float, dy: float) -> float:
-        """Distance to the outer walls along a ray starting inside the world."""
-        candidates = []
-        if dx > 1e-12:
-            candidates.append((self.length - x) / dx)
-        elif dx < -1e-12:
-            candidates.append(-x / dx)
-        if dy > 1e-12:
-            candidates.append((self.width - y) / dy)
-        elif dy < -1e-12:
-            candidates.append(-y / dy)
-        positive = [c for c in candidates if c >= 0]
-        return float(min(positive)) if positive else float("inf")
 
 
 def indoor_long(name: str = "indoor-long") -> CorridorWorld:

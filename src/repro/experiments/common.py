@@ -15,7 +15,7 @@ sweeps can be resumed with ``resume=True``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Tuple, Union
 
@@ -281,6 +281,9 @@ def clear_drone_cache() -> None:
 
 
 def _drone_cache_key(config: DroneConfig, seed: int) -> Tuple:
+    # Every field the pretraining or the range profile reads.  The rest of
+    # the config (evaluation and fine-tuning knobs) is the caller's own and
+    # travels on the returned bundle, not in the key.
     return (
         config.image_size,
         config.n_actions,
@@ -288,6 +291,7 @@ def _drone_cache_key(config: DroneConfig, seed: int) -> Tuple:
         config.pretrain_extra_env_samples,
         config.pretrain_epochs,
         round(config.pretrain_learning_rate, 8),
+        config.qformat,
         seed,
     )
 
@@ -297,13 +301,14 @@ def build_drone_bundle(config: DroneConfig, seed: int = 0) -> DronePolicyBundle:
 
     The policy is trained against the privileged depth expert with samples
     drawn from *both* environments, so the same network can be evaluated on
-    ``indoor-long`` and ``indoor-vanleer`` (Fig. 7b).
+    ``indoor-long`` and ``indoor-vanleer`` (Fig. 7b).  A cache hit shares
+    the pretrained network but carries the caller's ``config``.
     """
     key = _drone_cache_key(config, seed)
     cached = _DRONE_CACHE.get(key)
     if cached is not None:
         cached.restore_clean()
-        return cached
+        return cached if cached.config == config else replace(cached, config=config)
 
     rng = np.random.default_rng(seed)
     envs = {

@@ -322,14 +322,18 @@ class Conv2D(Layer):
         )
         grad_cols = grad_cols.reshape(
             batch, out_h, out_w, self.in_channels, self.kernel_size, self.kernel_size
-        )
-        for i in range(out_h):
-            hi = i * self.stride
-            for j in range(out_w):
-                wj = j * self.stride
+        ).transpose(0, 3, 1, 2, 4, 5)  # (b, c, oh, ow, kh, kw)
+        # One strided scatter per kernel offset.  Offsets run in descending
+        # order: for a fixed input pixel, descending offset is ascending
+        # output index, so every pixel sums its terms in output order (the
+        # order tests/test_nn_layers.py's per-output-pixel reference uses).
+        h_span = self.stride * (out_h - 1) + 1
+        w_span = self.stride * (out_w - 1) + 1
+        for ki in range(self.kernel_size - 1, -1, -1):
+            for kj in range(self.kernel_size - 1, -1, -1):
                 grad_input[
-                    :, :, hi : hi + self.kernel_size, wj : wj + self.kernel_size
-                ] += grad_cols[:, i, j]
+                    :, :, ki : ki + h_span : self.stride, kj : kj + w_span : self.stride
+                ] += grad_cols[..., ki, kj]
         if self.padding:
             grad_input = grad_input[
                 :, :, self.padding : -self.padding, self.padding : -self.padding
@@ -349,6 +353,26 @@ class Conv2D(Layer):
         return (self.out_channels, out_h, out_w)
 
 
+def _pool_windows(
+    x: np.ndarray, out_h: int, out_w: int, size: int, stride: int
+) -> np.ndarray:
+    """Read-only (b, c, out_h, out_w, size, size) view of the pooling windows."""
+    strides = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x,
+        shape=x.shape[:2] + (out_h, out_w, size, size),
+        strides=(
+            strides[0],
+            strides[1],
+            strides[2] * stride,
+            strides[3] * stride,
+            strides[2],
+            strides[3],
+        ),
+        writeable=False,
+    )
+
+
 class MaxPool2D(Layer):
     """Max pooling over non-overlapping (or strided) windows."""
 
@@ -365,20 +389,7 @@ class MaxPool2D(Layer):
         batch, channels, height, width = x.shape
         out_h = (height - self.pool_size) // self.stride + 1
         out_w = (width - self.pool_size) // self.stride + 1
-        strides = x.strides
-        windows = np.lib.stride_tricks.as_strided(
-            x,
-            shape=(batch, channels, out_h, out_w, self.pool_size, self.pool_size),
-            strides=(
-                strides[0],
-                strides[1],
-                strides[2] * self.stride,
-                strides[3] * self.stride,
-                strides[2],
-                strides[3],
-            ),
-            writeable=False,
-        )
+        windows = _pool_windows(x, out_h, out_w, self.pool_size, self.stride)
         out = windows.max(axis=(4, 5))
         if training:
             self._cache = (x, out.shape)
@@ -399,22 +410,21 @@ class MaxPool2D(Layer):
         x, out_shape = self._cache
         grad_input = np.zeros_like(x)
         batch, channels, out_h, out_w = out_shape
-        for i in range(out_h):
-            hi = i * self.stride
-            for j in range(out_w):
-                wj = j * self.stride
-                window = x[:, :, hi : hi + self.pool_size, wj : wj + self.pool_size]
-                flat = window.reshape(batch, channels, -1)
-                arg = flat.argmax(axis=2)
-                mask = np.zeros_like(flat)
-                b_idx, c_idx = np.meshgrid(
-                    np.arange(batch), np.arange(channels), indexing="ij"
-                )
-                mask[b_idx, c_idx, arg] = 1.0
-                mask = mask.reshape(window.shape)
+        size = self.pool_size
+        windows = _pool_windows(x, out_h, out_w, size, self.stride)
+        # First maximum of each window, in row-major window order (ties go
+        # to the earliest element, as a per-window argmax picks them).
+        arg = windows.reshape(batch, channels, out_h, out_w, size * size).argmax(axis=-1)
+        # Overlapping windows add into shared pixels; descending offsets
+        # visit each pixel's windows in ascending output order.
+        h_span = self.stride * (out_h - 1) + 1
+        w_span = self.stride * (out_w - 1) + 1
+        for pi in range(size - 1, -1, -1):
+            for pj in range(size - 1, -1, -1):
+                mask = (arg == pi * size + pj).astype(np.float64)
                 grad_input[
-                    :, :, hi : hi + self.pool_size, wj : wj + self.pool_size
-                ] += mask * grad_out[:, :, i, j][:, :, None, None]
+                    :, :, pi : pi + h_span : self.stride, pj : pj + w_span : self.stride
+                ] += mask * grad_out
         return grad_input
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:

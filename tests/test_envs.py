@@ -28,6 +28,103 @@ from repro.envs.drone.expert import GreedyDepthExpert, collect_dataset
 from repro.envs.gridworld import ACTION_DELTAS, GOAL, HELL
 
 
+# --------------------------------------------------------------------------- #
+# Reference ray caster: one Python loop per ray and per rectangle.  The
+# environments cast rays only through CorridorWorld.ray_distances; these
+# loops are the independent oracle it is checked against, bit for bit.
+# --------------------------------------------------------------------------- #
+def slab_ray_intersection(rect, ox, oy, dx, dy):
+    """Distance along the ray to ``rect`` (slab method), or None on a miss."""
+    t_min, t_max = -np.inf, np.inf
+    for origin, direction, lo, hi in ((ox, dx, rect.x0, rect.x1), (oy, dy, rect.y0, rect.y1)):
+        if abs(direction) < 1e-12:
+            if origin < lo or origin > hi:
+                return None
+            continue
+        t1 = (lo - origin) / direction
+        t2 = (hi - origin) / direction
+        if t1 > t2:
+            t1, t2 = t2, t1
+        t_min = max(t_min, t1)
+        t_max = min(t_max, t2)
+        if t_min > t_max:
+            return None
+    if t_max < 0:
+        return None
+    return float(max(t_min, 0.0))
+
+
+def boundary_distance(world, x, y, dx, dy):
+    """Distance to the outer walls along a ray starting inside the world."""
+    candidates = []
+    if dx > 1e-12:
+        candidates.append((world.length - x) / dx)
+    elif dx < -1e-12:
+        candidates.append(-x / dx)
+    if dy > 1e-12:
+        candidates.append((world.width - y) / dy)
+    elif dy < -1e-12:
+        candidates.append(-y / dy)
+    positive = [c for c in candidates if c >= 0]
+    return float(min(positive)) if positive else float("inf")
+
+
+def reference_ray_distance(world, x, y, angle, max_range=30.0):
+    dx, dy = float(np.cos(angle)), float(np.sin(angle))
+    best = boundary_distance(world, x, y, dx, dy)
+    for rect in world.obstacles:
+        hit = slab_ray_intersection(rect, x, y, dx, dy)
+        if hit is not None and hit < best:
+            best = hit
+    return float(min(best, max_range))
+
+
+def reference_clearance(world, x, y, num_rays=16, max_range=10.0):
+    angles = np.linspace(0.0, 2.0 * np.pi, num_rays, endpoint=False)
+    return float(min(reference_ray_distance(world, x, y, a, max_range) for a in angles))
+
+
+def reference_render(camera, world, x, y, heading):
+    """(1, H, W) image filled column by column from per-ray depths."""
+    depth = np.array(
+        [reference_ray_distance(world, x, y, a, camera.max_range) for a in heading + camera._offsets]
+    )
+    inverse = 1.0 - np.clip(depth / camera.max_range, 0.0, 1.0)
+    rows = np.arange(camera.height, dtype=np.float64)
+    centre = (camera.height - 1) / 2.0
+    vertical = np.abs(rows - centre) / max(centre, 1.0)
+    image = np.zeros((camera.height, camera.width))
+    for col in range(camera.width):
+        filled = vertical <= 0.15 + 0.85 * inverse[col]
+        image[filled, col] = inverse[col]
+        image[~filled, col] = 0.1 * (1.0 - vertical[~filled])
+    return image[None, :, :]
+
+
+def reference_action_scores(expert, pose):
+    """Expert scores by simulating one action at a time."""
+    env, world = expert.env, expert.env.world
+    x0, y0, heading = pose
+    scores = np.zeros(env.actions.n_actions)
+    for action in range(env.actions.n_actions):
+        yaw_offset, forward = env.actions.command(action)
+        new_heading = heading + yaw_offset
+        step = forward / env.substeps
+        x, y = x0, y0
+        for _ in range(env.substeps):
+            x = x + step * float(np.cos(new_heading))
+            y = y + step * float(np.sin(new_heading))
+            if not world.is_free(x, y, margin=env.collision_radius + 0.05):
+                break
+        else:
+            ahead = reference_ray_distance(world, x, y, new_heading, expert.lookahead)
+            clearance = min(reference_clearance(world, x, y), 3.0) / 3.0
+            scores[action] = ahead / expert.lookahead + expert.clearance_weight * clearance
+    scores[env.actions.straight_action] += expert.straight_bonus
+    return scores
+
+
+
 class TestGridLayouts:
     def test_all_layouts_have_path(self):
         for density in ("low", "middle", "high"):
@@ -160,9 +257,30 @@ class TestCorridorWorld:
 
     def test_ray_hits_rectangle(self):
         rect = Rect(5, -1, 6, 1)
-        assert rect.ray_intersection(0, 0, 1, 0) == pytest.approx(5.0)
-        assert rect.ray_intersection(0, 0, -1, 0) is None
-        assert rect.ray_intersection(0, 5, 1, 0) is None
+        assert slab_ray_intersection(rect, 0, 0, 1, 0) == 5.0
+        assert slab_ray_intersection(rect, 0, 0, -1, 0) is None
+        assert slab_ray_intersection(rect, 0, 5, 1, 0) is None
+        world = CorridorWorld(20.0, 10.0, [Rect(5, 4, 6, 6)], start_pose=(1.0, 5.0, 0.0))
+        assert world.ray_distance(1.0, 5.0, 0.0) == 4.0
+        assert world.ray_distance(1.0, 5.0, np.pi) == 1.0
+        assert world.ray_distance(1.0, 8.0, 0.0) == 19.0
+
+    @pytest.mark.parametrize("make_world", [indoor_long, indoor_vanleer])
+    def test_ray_distances_match_reference(self, make_world):
+        world = make_world()
+        rng = np.random.default_rng(8)
+        xs = rng.uniform(0.5, world.length - 0.5, 64)
+        ys = rng.uniform(0.5, world.width - 0.5, 64)
+        # Random directions plus the axis-parallel ones the slab method
+        # special-cases.
+        angles = np.concatenate(
+            [rng.uniform(-np.pi, np.pi, 56), [0.0, np.pi / 2, np.pi, -np.pi / 2] * 2]
+        )
+        batched = world.ray_distances(xs, ys, angles, 25.0)
+        reference = [reference_ray_distance(world, *ray, 25.0) for ray in zip(xs, ys, angles)]
+        assert np.array_equal(batched, reference)
+        scalar = [world.ray_distance(*ray, 25.0) for ray in zip(xs, ys, angles)]
+        assert np.array_equal(scalar, reference)
 
     def test_boundary_distance(self):
         world = indoor_long()
@@ -188,6 +306,20 @@ class TestCameraAndActions:
         image = camera.render(world, 2.0, 3.0, 0.0)
         assert image.shape == (1, 12, 16)
         assert image.min() >= 0.0 and image.max() <= 1.0
+
+    @pytest.mark.parametrize("make_world", [indoor_long, indoor_vanleer])
+    def test_render_matches_reference(self, make_world):
+        world = make_world()
+        camera = DepthCamera(width=16, height=12)
+        rng = np.random.default_rng(9)
+        xs = rng.uniform(0.5, world.length - 0.5, 8)
+        ys = rng.uniform(0.5, world.width - 0.5, 8)
+        headings = rng.uniform(-np.pi, np.pi, 8)
+        batch = camera.render_batch(world, xs, ys, headings)
+        for image, pose in zip(batch, zip(xs, ys, headings)):
+            reference = reference_render(camera, world, *pose)
+            assert np.array_equal(image, reference)
+            assert np.array_equal(camera.render(world, *pose), reference)
 
     def test_close_obstacle_brighter_than_far(self):
         camera = DepthCamera(width=8, height=8, max_range=20.0)
@@ -374,8 +506,10 @@ class TestClearanceFan:
         xs = rng.uniform(1.0, 90.0, 32)
         ys = rng.uniform(0.5, 5.5, 32)
         batched = world.clearances(xs, ys)
-        scalar = np.array([world.clearance(x, y) for x, y in zip(xs, ys)])
-        assert np.array_equal(batched, scalar)
+        reference = [reference_clearance(world, x, y) for x, y in zip(xs, ys)]
+        assert np.array_equal(batched, reference)
+        scalar = [world.clearance(x, y) for x, y in zip(xs, ys)]
+        assert np.array_equal(scalar, reference)
 
 
 class TestDroneExpert:
@@ -406,6 +540,40 @@ class TestDroneExpert:
         assert images.shape == (12, 1, 24, 24)
         assert targets.shape == (12, 25)
 
+    @pytest.mark.parametrize("environment", ["indoor-long", "indoor-vanleer"])
+    def test_action_scores_match_per_action_loop(self, environment):
+        env = make_drone_env(environment, image_size=16)
+        expert = GreedyDepthExpert(env)
+        world = env.world
+        rng = np.random.default_rng(21)
+        poses = []
+        while len(poses) < 40:
+            x = rng.uniform(0.0, world.length)
+            y = rng.uniform(0.0, world.width)
+            if world.is_free(x, y, margin=env.collision_radius):
+                poses.append((x, y, rng.uniform(-np.pi, np.pi)))
+        # Poses just clear of a side wall and of an obstacle's face, facing
+        # into them, so some actions collide and score 0.
+        rect = world.obstacles[0]
+        poses += [
+            (30.0, env.collision_radius + 0.1, -np.pi / 2),
+            (30.0, world.width - env.collision_radius - 0.1, np.pi / 2),
+            (rect.x0 - env.collision_radius - 0.2, (rect.y0 + rect.y1) / 2, 0.0),
+            (rect.x0 - env.collision_radius - 0.2, rect.y1 + 0.5, 0.3),
+        ]
+        blocked = 0
+        for pose in poses:
+            scores = expert.action_scores(pose)
+            assert np.array_equal(scores, reference_action_scores(expert, pose))
+            blocked += int(np.sum(scores == 0.0))
+        assert blocked > 0
+
+    def test_collect_dataset_raises_without_free_pose(self, rng):
+        # A 6 m wide corridor has no point 3.5 m from both side walls.
+        env = DroneNavEnv(indoor_long(), camera=DepthCamera(8, 8), collision_radius=3.5)
+        with pytest.raises(ValueError, match="indoor-long.*3.5"):
+            collect_dataset(env, GreedyDepthExpert(env), 3, rng)
+
     def test_collect_dataset_invalid_count(self, rng):
         env = make_drone_env("indoor-long", image_size=24)
         with pytest.raises(ValueError):
@@ -422,3 +590,4 @@ def test_property_ray_distance_nonnegative_and_bounded(x, y, angle):
     world = indoor_long()
     distance = world.ray_distance(x, y, angle, max_range=25.0)
     assert 0.0 <= distance <= 25.0
+    assert distance == reference_ray_distance(world, x, y, angle, 25.0)

@@ -10,6 +10,8 @@ the deprecation shim, so the resulting DeprecationWarnings are expected and
 silenced here (the declarative path is covered by tests/test_api.py).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.experiments import (
     GridTabularConfig,
     get_scale,
 )
+from repro.experiments import common
 from repro.experiments import config as config_module
 from repro.experiments import (
     fig2_training,
@@ -38,6 +41,7 @@ from repro.experiments import (
 )
 from repro.experiments.common import build_drone_bundle, clear_drone_cache, greedy_policy, train_tabular
 from repro.io.results import ResultTable
+from repro.quant.qformat import Q16_WIDE
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +206,40 @@ class TestDroneDrivers:
     def test_bundle_is_cached(self, fast_drone, drone_bundle):
         again = build_drone_bundle(fast_drone, seed=0)
         assert again is drone_bundle
+
+    @pytest.fixture
+    def tiny_drone(self, monkeypatch):
+        # A private, empty cache: these tests must see cold and warm builds
+        # of their own config regardless of what other tests cached.
+        monkeypatch.setattr(common, "_DRONE_CACHE", {})
+        return DroneConfig(
+            image_size=20,
+            pretrain_samples=20,
+            pretrain_extra_env_samples=20,
+            pretrain_epochs=1,
+            max_eval_steps=20,
+        )
+
+    def test_cache_hit_carries_callers_config(self, tiny_drone):
+        first = build_drone_bundle(tiny_drone, seed=0)
+        wanted = dataclasses.replace(
+            tiny_drone, max_eval_steps=300, environment="indoor-vanleer"
+        )
+        again = build_drone_bundle(wanted, seed=0)
+        assert again.config == wanted
+        assert again.env() is first.envs["indoor-vanleer"]
+        assert again.network is first.network
+        assert first.config.max_eval_steps == 20
+
+    def test_cache_keys_on_qformat(self, tiny_drone, monkeypatch):
+        narrow = build_drone_bundle(tiny_drone, seed=0)
+        wide_config = dataclasses.replace(tiny_drone, qformat=Q16_WIDE)
+        wide = build_drone_bundle(wide_config, seed=0)
+        assert wide.config.qformat == Q16_WIDE
+        monkeypatch.setattr(common, "_DRONE_CACHE", {})
+        fresh = build_drone_bundle(wide_config, seed=0)
+        assert wide.range_profile == fresh.range_profile
+        assert wide.range_profile != narrow.range_profile
 
     def test_fig7b_environments(self, fast_drone, drone_bundle):
         table = fig7_drone.run_environment_comparison(fast_drone, [0.0, 1e-2], repetitions=1)

@@ -171,6 +171,74 @@ class TestPoolingAndActivations:
         assert MaxPool2D(2).output_shape((8, 10, 10)) == (8, 5, 5)
 
 
+def reference_conv_input_grad(layer, x, grad_out):
+    """Input gradient of ``layer`` by one scatter-add per output pixel.
+
+    The per-output-pixel loop ``Conv2D.backward`` used before its scatter
+    became one strided add per kernel offset; kept as the bit-exact oracle.
+    """
+    k, s, p = layer.kernel_size, layer.stride, layer.padding
+    batch, channels, height, width = x.shape
+    out_h, out_w = grad_out.shape[2:]
+    grad_flat = grad_out.transpose(0, 2, 3, 1)
+    grad_cols = (grad_flat @ layer.weight.reshape(layer.out_channels, -1)).reshape(
+        batch, out_h, out_w, channels, k, k
+    )
+    grad_input = np.zeros((batch, channels, height + 2 * p, width + 2 * p))
+    for i in range(out_h):
+        for j in range(out_w):
+            grad_input[:, :, i * s : i * s + k, j * s : j * s + k] += grad_cols[:, i, j]
+    return grad_input[:, :, p : p + height, p : p + width]
+
+
+def reference_pool_input_grad(layer, x, grad_out):
+    """Input gradient of ``layer`` by one masked add per pooling window."""
+    size, s = layer.pool_size, layer.stride
+    batch, channels = x.shape[:2]
+    out_h, out_w = grad_out.shape[2:]
+    grad_input = np.zeros_like(x)
+    b_idx, c_idx = np.meshgrid(np.arange(batch), np.arange(channels), indexing="ij")
+    for i in range(out_h):
+        for j in range(out_w):
+            window = x[:, :, i * s : i * s + size, j * s : j * s + size]
+            flat = window.reshape(batch, channels, -1)
+            mask = np.zeros_like(flat)
+            mask[b_idx, c_idx, flat.argmax(axis=2)] = 1.0
+            grad_input[:, :, i * s : i * s + size, j * s : j * s + size] += (
+                mask.reshape(window.shape) * grad_out[:, :, i, j][:, :, None, None]
+            )
+    return grad_input
+
+
+class TestBackwardMatchesReferenceLoops:
+    """Conv/pool input gradients are bit-identical to the per-pixel loops."""
+
+    @pytest.mark.parametrize("kernel", [1, 3, 5, 7])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_conv_input_gradient(self, kernel, padding, stride):
+        rng = np.random.default_rng(100 * kernel + 10 * padding + stride)
+        layer = Conv2D(2, 3, kernel_size=kernel, stride=stride, padding=padding, rng=rng)
+        x = rng.normal(size=(2, 2, 9, 11))
+        out = layer.forward(x, training=True)
+        grad_out = rng.normal(size=out.shape)
+        grad = layer.backward(grad_out)
+        assert np.array_equal(grad, reference_conv_input_grad(layer, x, grad_out))
+
+    @pytest.mark.parametrize("size, stride", [(2, 2), (3, 2), (2, 1), (3, 3), (3, 1)])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_maxpool_input_gradient(self, size, stride, tied):
+        rng = np.random.default_rng(10 * size + stride)
+        shape = (3, 2, 8, 9)
+        # Integers from a small range make most windows hold tied maxima.
+        x = rng.integers(0, 3, size=shape).astype(float) if tied else rng.normal(size=shape)
+        layer = MaxPool2D(size, stride=stride)
+        out = layer.forward(x, training=True)
+        grad_out = rng.normal(size=out.shape)
+        grad = layer.backward(grad_out)
+        assert np.array_equal(grad, reference_pool_input_grad(layer, x, grad_out))
+
+
 class TestLossesAndInitializers:
     def test_mse_zero_for_equal(self):
         loss, grad = mse_loss(np.ones((2, 2)), np.ones((2, 2)))
