@@ -2,15 +2,11 @@
 
 The engine knobs compose: ``BatchedRunner(batch_size=B, workers=W)`` shards
 batches across W worker processes, each evaluating B replicas through the
-vectorized kernel path.  This module profiles the small knob grid on the
+vectorized forward path.  This module profiles the small knob grid on the
 Fig. 5 and Fig. 7 campaigns, records every operating point (and the best
 one) in ``BENCH_composition_*.json``, asserts all points stay bit-identical,
 and fails if composing the knobs ever loses to plain serial execution —
 the floor that makes ``--workers``/``--batch-size`` safe advice.
-
-Worker processes inherit the active kernel backend through the module-global
-selection (fork) or re-resolve the same environment default (spawn), so the
-profile exercises whichever backend the host runs.
 
 Runs as plain pytest, like the other guardrails::
 
@@ -24,7 +20,6 @@ import numpy as np
 import pytest
 
 from bench_snapshot_lib import write_snapshot
-from repro import kernels
 from repro.core import Campaign
 from repro.core.fault_models import TransientBitFlip
 from repro.core.runner import make_runner
@@ -87,7 +82,6 @@ def _profile(name, trial):
         f"composition_{name}",
         {
             "repetitions": REPETITIONS,
-            "backend": kernels.active_backend_name(),
             "points": {
                 f"workers={w},batch={b}": t for (w, b), t in sorted(times.items())
             },

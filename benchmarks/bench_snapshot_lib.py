@@ -17,8 +17,7 @@ carries the same envelope::
       "kind": "repro-bench-snapshot",
       "name": "<benchmark name>",
       "created_at": <unix time>,
-      "host": {"node": ..., "platform": ..., "python": ..., "cpus": ...,
-               "kernel_backend": ..., "numba": ...},
+      "host": {"node": ..., "platform": ..., "python": ..., "cpus": ...},
       "metrics": {<benchmark-specific numbers, flat and JSON-native>}
     }
 
@@ -52,25 +51,8 @@ def default_snapshot_dir() -> Path:
     return Path(__file__).resolve().parent.parent
 
 
-def _numba_version() -> str:
-    """The installed numba version, or ``"absent"``.
-
-    Recorded so a perf-trajectory regression can be traced to a JIT
-    toolchain change (or to the backend silently running in numpy mode on
-    a host without numba) without re-creating the environment.
-    """
-    try:
-        from importlib.metadata import version
-
-        return version("numba")
-    except Exception:
-        return "absent"
-
-
 def write_snapshot(name: str, metrics: Dict[str, Any]) -> Optional[Path]:
     """Write ``BENCH_<name>.json``; returns its path, or ``None`` on failure."""
-    from repro import kernels
-
     snapshot = {
         "kind": "repro-bench-snapshot",
         "name": name,
@@ -80,8 +62,6 @@ def write_snapshot(name: str, metrics: Dict[str, Any]) -> Optional[Path]:
             "platform": platform.platform(),
             "python": platform.python_version(),
             "cpus": os.cpu_count(),
-            "kernel_backend": kernels.active_backend_name(),
-            "numba": _numba_version(),
         },
         "metrics": metrics,
     }

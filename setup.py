@@ -14,10 +14,6 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.9",
     install_requires=["numpy>=1.21"],
-    # numba is strictly optional: it unlocks the JIT kernel backend
-    # (repro.kernels), but every code path falls back to the bit-identical
-    # numpy reference when it is absent.
-    extras_require={"numba": ["numba>=0.56"]},
     entry_points={
         "console_scripts": [
             "repro-campaign=repro.__main__:main",

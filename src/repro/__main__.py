@@ -90,15 +90,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
         "vectorized implementation fall back to scalar execution)",
     )
     group.add_argument(
-        "--kernel-backend",
-        choices=("auto", "numpy", "numba"),
-        default=None,
-        metavar="NAME",
-        help="compute-kernel backend for the quantization/injection hot path "
-        "(auto/numpy/numba; default: REPRO_KERNEL_BACKEND or auto — numba "
-        "when installed, else numpy; backends are bit-identical)",
-    )
-    group.add_argument(
         "--checkpoint-dir",
         type=Path,
         default=None,
@@ -493,7 +484,6 @@ def _execution_from_args(args, parser: argparse.ArgumentParser):
             batch_size=args.batch_size,
             checkpoint_dir=args.checkpoint_dir,
             resume=args.resume,
-            kernel_backend=args.kernel_backend,
         )
     except ValueError as exc:
         reporter = getattr(parser, "figure_parsers", {}).get(args.figure, parser)
@@ -568,7 +558,6 @@ def _run_sweep(args, parser: argparse.ArgumentParser) -> int:
             batch_size=args.batch_size,
             checkpoint_dir=args.checkpoint_dir,
             resume=bool(args.resume and args.checkpoint_dir is not None),
-            kernel_backend=args.kernel_backend,
         )
         sweep_spec = SweepSpec(
             experiment=args.experiment,

@@ -70,43 +70,6 @@ def _telemetry_collector() -> Iterator[Optional[Any]]:
         bus.unsubscribe(collector)
 
 
-@contextlib.contextmanager
-def _kernel_scope(backend: Optional[str]) -> Iterator[None]:
-    """Activate the requested kernel backend; emit ``kernel.ops`` if traced.
-
-    Pins the :mod:`repro.kernels` dispatch layer to ``backend`` for the
-    duration of the block (restoring the previous backend afterwards), and —
-    when the telemetry bus has subscribers — emits one
-    :class:`~repro.telemetry.events.KernelOps` event carrying this block's
-    per-op dispatch deltas.  Counters only ever grow, so the delta against a
-    snapshot isolates this run even when runs nest or interleave.
-    """
-    from repro import kernels
-
-    with kernels.use_backend(backend):
-        from repro.telemetry.bus import default_bus
-
-        bus = default_bus()
-        if not bus.active:
-            yield
-            return
-        before = kernels.counters_snapshot()
-        try:
-            yield
-        finally:
-            from repro.telemetry.events import KernelOps
-
-            after = kernels.counters_snapshot()
-            deltas = {
-                op: after[op] - before.get(op, 0)
-                for op in after
-                if after[op] > before.get(op, 0)
-            }
-            bus.emit(
-                KernelOps(backend=kernels.active_backend_name(), ops=deltas)
-            )
-
-
 def get_spec(name: str):
     """Look up a registered :class:`~repro.experiments.registry.ExperimentSpec`."""
     from repro.experiments.registry import get_spec as _get_spec
@@ -193,8 +156,7 @@ def run(
                     return hit
 
         start = time.perf_counter()
-        with _kernel_scope(execution.kernel_backend):
-            result = spec.run_fn(execution, **resolved_params)
+        result = spec.run_fn(execution, **resolved_params)
         wall_time = time.perf_counter() - start
         artifact = ExperimentArtifact(
             spec_name=spec.name,
@@ -351,13 +313,7 @@ def sweep(
         )
     else:
         runner = SweepRunner(cache=cache, store=store, progress=progress)
-    from repro import kernels
-
-    # Backend activation only — each point's api.run owns its own
-    # _kernel_scope and emits per-point KernelOps deltas; emitting a
-    # sweep-level cumulative event too would double-count in Metrics.
-    backend = execution.kernel_backend if execution is not None else None
-    with _telemetry_collector() as collector, kernels.use_backend(backend):
+    with _telemetry_collector() as collector:
         artifact = runner.run(
             sweep_spec, execution, adaptive=adaptive, checkpoint=checkpoint, resume=resume
         )

@@ -72,11 +72,6 @@ class ExecutionConfig:
     scale:
         Experiment scale preset (``"small"`` / ``"medium"`` / ``"paper"``);
         ``None`` defers to ``REPRO_SCALE``.
-    kernel_backend:
-        Compute-kernel backend for the quantization / fault-injection hot
-        path (``"auto"`` / ``"numpy"`` / ``"numba"``); ``None`` defers to
-        ``REPRO_KERNEL_BACKEND``.  Backends are contractually bit-identical,
-        so this knob never changes the numbers — only how fast they arrive.
     """
 
     seed: int = 0
@@ -86,7 +81,6 @@ class ExecutionConfig:
     checkpoint_dir: Optional[Path] = None
     resume: bool = False
     scale: Optional[str] = None
-    kernel_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if isinstance(self.seed, bool):
@@ -119,12 +113,6 @@ class ExecutionConfig:
             from repro.experiments.config import ExperimentScale
 
             object.__setattr__(self, "scale", ExperimentScale(self.scale).value)
-        if self.kernel_backend is not None:
-            from repro.kernels import validate_backend_name
-
-            object.__setattr__(
-                self, "kernel_backend", validate_backend_name(self.kernel_backend)
-            )
 
     # -- environment resolution ----------------------------------------- #
     def resolved(self) -> "ExecutionConfig":
@@ -141,7 +129,6 @@ class ExecutionConfig:
         concrete values for provenance.
         """
         from repro.experiments.config import get_scale
-        from repro.kernels import resolve_backend_name
 
         return self.replace(
             workers=self.workers if self.workers is not None else default_workers(),
@@ -149,9 +136,6 @@ class ExecutionConfig:
             if self.batch_size is not None
             else default_batch_size(),
             scale=self.scale if self.scale is not None else get_scale().value,
-            # "auto" (and None) pin to the concrete backend that will run, so
-            # artifact provenance records numpy-vs-numba explicitly.
-            kernel_backend=resolve_backend_name(self.kernel_backend),
         )
 
     # -- derived behaviour ---------------------------------------------- #
@@ -187,10 +171,9 @@ class ExecutionConfig:
 
         This is what the content-addressed artifact store digests: the seed,
         the repetition count and the scale preset.  The engine knobs
-        (``workers`` / ``batch_size`` / ``kernel_backend``) and the
-        checkpoint knobs are excluded on purpose — campaigns are
-        contractually bit-identical across serial / parallel / batched
-        execution and across kernel backends, so a result computed on one
+        (``workers`` / ``batch_size``) and the checkpoint knobs are excluded
+        on purpose — campaigns are contractually bit-identical across
+        serial / parallel / batched execution, so a result computed on one
         engine is a valid cache hit for every other.
 
         When ``repetitions`` is ``None`` the count comes from the experiment
@@ -220,7 +203,6 @@ class ExecutionConfig:
             "checkpoint_dir": None if self.checkpoint_dir is None else str(self.checkpoint_dir),
             "resume": self.resume,
             "scale": self.scale,
-            "kernel_backend": self.kernel_backend,
         }
 
     @classmethod

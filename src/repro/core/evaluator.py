@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro import kernels
 from repro.core.fault_models import FaultModel
 from repro.core.sites import BufferSelector, FaultPattern, apply_patterns_stacked
 from repro.nn.buffers import BatchedQuantizedExecutor, weight_buffer_name
@@ -58,10 +57,6 @@ class BatchedEvaluator:
     def __init__(self, network: Sequential, qformat: QFormat, n_replicas: int) -> None:
         self.network = network
         self.qformat = qformat
-        # Compile (or load from the on-disk cache) the active backend's
-        # kernels before the campaign's timed loops touch them; memoized per
-        # process, and a no-op on the numpy reference backend.
-        kernels.warm_up()
         self.executor = BatchedQuantizedExecutor(network, qformat, n_replicas)
 
     @property

@@ -10,7 +10,7 @@ Two template problems from the paper:
 """
 
 from repro.envs.base import Environment
-from repro.envs.batched import BatchedEnv, EnvPool
+from repro.envs.batched import BatchedEnv
 from repro.envs.gridworld import (
     GridWorld,
     GridWorldBatch,
@@ -25,7 +25,6 @@ from repro.envs.drone import DroneNavEnv, DroneNavEnvBatch, make_drone_env
 __all__ = [
     "Environment",
     "BatchedEnv",
-    "EnvPool",
     "GridWorld",
     "GridWorldBatch",
     "GridLayout",

@@ -10,25 +10,21 @@ lockstep.  :class:`BatchedEnv` is the interface the batched rollout engine
   replicas finish independently, so the rollout engine passes the indices
   of the episodes still running.
 
-Three implementations exist: :class:`~repro.envs.gridworld.GridWorldBatch`
-steps all Grid World replicas through vectorized integer math,
+Two implementations exist: :class:`~repro.envs.gridworld.GridWorldBatch`
+steps all Grid World replicas through vectorized integer math, and
 :class:`~repro.envs.drone.DroneNavEnvBatch` steps drone replicas through
-replica-axis numpy ray casting, and :class:`EnvPool` wraps any collection
-of scalar environments behind the same interface as the generic fallback
-for environments without a native batch.  All are exact: replica ``r`` of
-a batched run visits the same states, rewards and ``info`` dictionaries as
-a scalar environment stepped with the same actions.
+replica-axis numpy ray casting.  Both are exact: replica ``r`` of a batched
+run visits the same states, rewards and ``info`` dictionaries as a scalar
+environment stepped with the same actions.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.envs.base import Environment
-
-__all__ = ["BatchedEnv", "EnvPool"]
+__all__ = ["BatchedEnv"]
 
 
 class BatchedEnv:
@@ -65,53 +61,3 @@ class BatchedEnv:
                 f"actions must lie in [0, {self.n_actions}), got range "
                 f"[{actions.min()}, {actions.max()}]"
             )
-
-
-class EnvPool(BatchedEnv):
-    """Scalar fallback: independent scalar environments behind the batched API.
-
-    Used for environments without a native vectorized stepping mode; each
-    replica owns one scalar environment instance, so batched campaigns
-    remain bit-identical even where only the policy side is vectorized.
-    (The drone simulator now has a native batch, ``DroneNavEnvBatch``; the
-    pool remains as the generic fallback and as the reference baseline the
-    batched-env guardrail benchmark measures against.)
-    """
-
-    def __init__(self, envs: Sequence[Environment]) -> None:
-        envs = list(envs)
-        if not envs:
-            raise ValueError("EnvPool needs at least one environment")
-        actions = {env.n_actions for env in envs}
-        if len(actions) != 1:
-            raise ValueError(f"pool environments disagree on n_actions: {sorted(actions)}")
-        self.envs = envs
-        self.n_actions = envs[0].n_actions
-        self.n_replicas = len(envs)
-
-    @classmethod
-    def from_factory(
-        cls, factory: Callable[[], Environment], n_replicas: int
-    ) -> "EnvPool":
-        """Build a pool of ``n_replicas`` environments from a factory."""
-        if n_replicas <= 0:
-            raise ValueError(f"n_replicas must be positive, got {n_replicas}")
-        return cls([factory() for _ in range(n_replicas)])
-
-    def reset_all(self) -> List[Any]:
-        return [env.reset() for env in self.envs]
-
-    def step_many(
-        self, actions: Sequence[int], indices: Sequence[int]
-    ) -> Tuple[List[Any], np.ndarray, np.ndarray, List[Dict[str, Any]]]:
-        states: List[Any] = []
-        rewards = np.empty(len(indices), dtype=np.float64)
-        dones = np.zeros(len(indices), dtype=bool)
-        infos: List[Dict[str, Any]] = []
-        for j, (action, index) in enumerate(zip(actions, indices)):
-            state, reward, done, info = self.envs[index].step(int(action))
-            states.append(state)
-            rewards[j] = reward
-            dones[j] = done
-            infos.append(info)
-        return states, rewards, dones, infos

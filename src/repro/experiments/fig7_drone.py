@@ -35,8 +35,7 @@ from repro.core.injector import (
     inject_weight_faults,
 )
 from repro.core.sites import BufferSelector
-from repro.envs.batched import BatchedEnv, EnvPool
-from repro.envs.drone import make_drone_env
+from repro.envs.batched import BatchedEnv
 from repro.experiments.common import (
     DronePolicyBundle,
     build_drone_bundle,
@@ -117,11 +116,8 @@ class _DroneMSFTrial:
     vectorized bit operation, activation/input injectors fan out per
     replica via :class:`~repro.core.injector.ReplicaFanoutHook`, and the
     episodes run against the replica-axis vectorized
-    :class:`~repro.envs.drone.DroneNavEnvBatch` (or, with
-    ``env_backend="pool"``, against an :class:`~repro.envs.batched.EnvPool`
-    of scalar drone environments — the fallback the guardrail benchmark
-    measures the native batch against).  Both paths are bit-identical for
-    the same trial RNGs.
+    :class:`~repro.envs.drone.DroneNavEnvBatch`.  Both paths are
+    bit-identical for the same trial RNGs.
     """
 
     def __init__(
@@ -135,10 +131,7 @@ class _DroneMSFTrial:
         activation_fault: Optional[FaultModel] = None,
         activation_mode: str = "transient",
         input_fault: Optional[FaultModel] = None,
-        env_backend: str = "batch",
     ) -> None:
-        if env_backend not in ("batch", "pool"):
-            raise ValueError(f"env_backend must be 'batch' or 'pool', got {env_backend!r}")
         self.bundle = bundle
         self.env_name = env_name
         self.qformat = qformat
@@ -147,7 +140,6 @@ class _DroneMSFTrial:
         self.activation_fault = activation_fault
         self.activation_mode = activation_mode
         self.input_fault = input_fault
-        self.env_backend = env_backend
         # Per-batch-size caches: campaigns call run_batch once per batch,
         # and rebuilding the stacked evaluator (re-encoding every weight
         # buffer) and the environments each time is pure fixed overhead.
@@ -238,13 +230,7 @@ class _DroneMSFTrial:
     def _batched_env(self, n: int) -> BatchedEnv:
         env = self._envs.get(n)
         if env is None:
-            if self.env_backend == "pool":
-                image_size = self.bundle.config.image_size
-                env = EnvPool.from_factory(
-                    lambda: make_drone_env(self.env_name, image_size=image_size), n
-                )
-            else:
-                env = self.bundle.env(self.env_name).batched(n)
+            env = self.bundle.env(self.env_name).batched(n)
             self._envs[n] = env
         return env
 

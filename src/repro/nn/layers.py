@@ -73,7 +73,7 @@ class Layer:
         The batched executor quantizes every layer's output into ``qformat``
         (the accelerator writes each result through its output buffer); this
         entry point lets layers fuse that quantization into their forward
-        kernel via :mod:`repro.kernels`.  The default composes the two
+        pass (see the ``QFormat`` fused helpers).  The default composes the two
         steps, which is exactly what the executor's per-layer quantize hook
         used to do, so overriding is purely an optimization — results must
         stay bit-identical.
@@ -159,17 +159,10 @@ class Dense(Layer):
     ) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if params is None:
-            # Shared float weights (pre-fault-activation): the matmul operands
-            # are not quantized values, so only the bias+quantize tail fuses —
-            # the GEMM itself must stay np.matmul for bit-identity.
+            # Shared float weights (pre-fault-activation): one broadcast
+            # matmul, then the bias+quantize tail.
             return qformat.bias_quantize(np.matmul(x, self.weight), self.bias)
-        weight, bias = params["weight"], params["bias"]
-        if qformat.supports_exact_matmul(self.in_features):
-            # Decoded quantized stacks: every partial sum is exact in float64
-            # (see QFormat.supports_exact_matmul), so the fully fused
-            # matmul+bias+quantize kernel is bit-identical to BLAS.
-            return qformat.matmul_bias_quantize(x, weight, bias)
-        return qformat.bias_quantize_stacked(np.matmul(x, weight), bias)
+        return qformat.matmul_bias_quantize(x, params["weight"], params["bias"])
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._last_input is None:

@@ -6,12 +6,12 @@ words in their low bits (the raw representation used by
 mechanisms of the paper's fault model (Sec. 3.2): transient bit-flips and
 permanent stuck-at-0 / stuck-at-1 faults.
 
-The scatter itself dispatches through :mod:`repro.kernels`, so the active
-kernel backend (numpy reference or numba JIT) executes it;
-:func:`apply_bit_ops` additionally fuses mixed flip/set/clear site lists
-into one pass over the buffer (the batched engine's
-:func:`~repro.core.sites.apply_patterns_stacked` uses it to corrupt B
-replicas in a single copy + scatter instead of one per fault kind).
+Every operation is one in-place scatter (:func:`scatter_bits`) into a copy
+of the buffer; :func:`apply_bit_ops` (through :func:`inject_sites`) fuses
+mixed flip/set/clear site lists into one pass over the buffer (the batched
+engine's :func:`~repro.core.sites.apply_patterns_stacked` uses it to
+corrupt B replicas in a single copy + scatter instead of one per fault
+kind).
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro import kernels
-from repro.kernels import OP_CLEAR, OP_FLIP, OP_SET
-
 __all__ = [
     "flip_bits",
     "set_bits",
@@ -30,10 +27,54 @@ __all__ = [
     "apply_stuck_at",
     "apply_bit_ops",
     "random_bit_positions",
+    "scatter_bits",
+    "inject_sites",
     "OP_FLIP",
     "OP_SET",
     "OP_CLEAR",
 ]
+
+#: Bit-operation codes, one per fault mechanism: transient flip (XOR),
+#: stuck-at-1 (OR), stuck-at-0 (AND-NOT).  Small integers, so op-code
+#: arrays are plain int64.
+OP_FLIP = 0
+OP_SET = 1
+OP_CLEAR = 2
+
+
+def scatter_bits(
+    flat: np.ndarray, elements: np.ndarray, bits: np.ndarray, op_code: int
+) -> None:
+    """Apply one bit operation to the 1-D ``flat`` in place at the addressed sites.
+
+    ``np.bitwise_*.at`` applies every occurrence of a repeated element
+    index, so repeated sites compose like a serial per-site loop.
+    """
+    masks = np.int64(1) << bits
+    if op_code == OP_FLIP:
+        np.bitwise_xor.at(flat, elements, masks)
+    elif op_code == OP_SET:
+        np.bitwise_or.at(flat, elements, masks)
+    elif op_code == OP_CLEAR:
+        np.bitwise_and.at(flat, elements, ~masks)
+    else:
+        raise ValueError(f"unknown bit op code {op_code!r}")
+
+
+def inject_sites(
+    flat: np.ndarray, elements: np.ndarray, bits: np.ndarray, op_codes: np.ndarray
+) -> None:
+    """Apply mixed flip/set/clear operations to the 1-D ``flat`` in place.
+
+    Sites carrying *different* op codes must be distinct (guaranteed by
+    :func:`repro.core.sites.apply_patterns_stacked`, where each replica's
+    pattern addresses a disjoint flat range); repeated sites within one op
+    kind behave like repeated :func:`scatter_bits` applications.
+    """
+    for op_code in (OP_FLIP, OP_SET, OP_CLEAR):
+        mask = op_codes == op_code
+        if mask.any():
+            scatter_bits(flat, elements[mask], bits[mask], op_code)
 
 
 def _validate_sites(
@@ -78,7 +119,7 @@ def flip_bits(
         raw, element_indices, bit_positions, total_bits
     )
     out = raw.copy()
-    kernels.scatter_bits(out.reshape(-1), element_indices, bit_positions, OP_FLIP)
+    scatter_bits(out.reshape(-1), element_indices, bit_positions, OP_FLIP)
     return out
 
 
@@ -93,7 +134,7 @@ def set_bits(
         raw, element_indices, bit_positions, total_bits
     )
     out = raw.copy()
-    kernels.scatter_bits(out.reshape(-1), element_indices, bit_positions, OP_SET)
+    scatter_bits(out.reshape(-1), element_indices, bit_positions, OP_SET)
     return out
 
 
@@ -108,7 +149,7 @@ def clear_bits(
         raw, element_indices, bit_positions, total_bits
     )
     out = raw.copy()
-    kernels.scatter_bits(out.reshape(-1), element_indices, bit_positions, OP_CLEAR)
+    scatter_bits(out.reshape(-1), element_indices, bit_positions, OP_CLEAR)
     return out
 
 
@@ -163,7 +204,7 @@ def apply_bit_ops(
         )
     out = raw.copy()
     if op_codes.size:
-        kernels.inject_sites(out.reshape(-1), element_indices, bit_positions, op_codes)
+        inject_sites(out.reshape(-1), element_indices, bit_positions, op_codes)
     return out
 
 

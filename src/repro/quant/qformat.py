@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import kernels
-
 __all__ = ["QFormat", "Q8_GRID", "Q16_NARROW", "Q16_MID", "Q16_WIDE"]
 
 #: 2**63: scaled values at or beyond it overflow numpy's int64 cast.
@@ -153,6 +151,15 @@ class QFormat:
     # ------------------------------------------------------------------ #
     # Value <-> raw conversion
     # ------------------------------------------------------------------ #
+    def _to_raw(self, values: np.ndarray) -> np.ndarray:
+        """Round-half-even to raw words (signed ``int64``), saturating."""
+        raw = np.rint(values * self._inv_scale).astype(np.int64)
+        return np.minimum(np.maximum(raw, self._min_raw_i64), self._max_raw_i64)
+
+    def _quantized(self, values: np.ndarray) -> np.ndarray:
+        """The real values of :meth:`_to_raw`'s words."""
+        return self._to_raw(values).astype(np.float64) * self._scale
+
     def quantize(self, values: np.ndarray) -> np.ndarray:
         """Quantize real values to this format, returning real-valued output.
 
@@ -161,16 +168,9 @@ class QFormat:
         ones, which go through the same int64 conversion): after clipping,
         the raw words already equal their decoded signed value, so the
         two's-complement mask/unmask round trip is skipped.
-
-        Dispatches through :mod:`repro.kernels` (as do :meth:`encode` /
-        :meth:`decode` and the fused helpers below), so the active kernel
-        backend executes it; every backend is bit-identical to the numpy
-        reference.
         """
         values = np.asarray(values, dtype=np.float64)
-        return kernels.quantize(
-            values, self._inv_scale, self._scale, self._min_raw_i64, self._max_raw_i64
-        )
+        return self._quantized(values)
 
     def encode(self, values: np.ndarray) -> np.ndarray:
         """Encode real values into raw unsigned integer words (two's complement).
@@ -179,24 +179,14 @@ class QFormat:
         pattern in its low ``total_bits`` bits.
         """
         values = np.asarray(values, dtype=np.float64)
-        return kernels.encode(
-            values,
-            self._inv_scale,
-            self._min_raw_i64,
-            self._max_raw_i64,
-            self._word_mask_i64,
-        )
+        return self._to_raw(values) & self._word_mask_i64
 
     def decode(self, raw: np.ndarray) -> np.ndarray:
         """Decode raw unsigned words (two's complement) back to real values."""
-        raw = np.asarray(raw, dtype=np.int64)
-        return kernels.decode(
-            raw,
-            self._word_mask_i64,
-            self._sign_bit_i64,
-            self._modulus_i64,
-            self._scale,
-        )
+        raw = np.asarray(raw, dtype=np.int64) & self._word_mask_i64
+        if self.sign_bits:
+            raw = np.where(raw & self._sign_bit_i64, raw - self._modulus_i64, raw)
+        return raw.astype(np.float64) * self._scale
 
     def encode_word(self, value: float) -> int:
         """Encode one real value into its raw word; scalar :meth:`encode`.
@@ -225,74 +215,36 @@ class QFormat:
         return float(word) * self._scale
 
     # ------------------------------------------------------------------ #
-    # Fused forward-path helpers (kernel-dispatched)
+    # Fused forward-path helpers
     # ------------------------------------------------------------------ #
     def bias_quantize(self, y: np.ndarray, bias: np.ndarray) -> np.ndarray:
-        """``quantize(y + bias)`` with a shared trailing-axis bias, fused."""
-        return kernels.bias_quantize(
-            np.asarray(y, dtype=np.float64),
-            np.asarray(bias, dtype=np.float64),
-            self._inv_scale,
-            self._scale,
-            self._min_raw_i64,
-            self._max_raw_i64,
-        )
+        """``quantize(y + bias)`` with a shared trailing-axis bias."""
+        y = np.asarray(y, dtype=np.float64)
+        bias = np.asarray(bias, dtype=np.float64)
+        return self._quantized(y + bias)
 
     def bias_quantize_stacked(self, y: np.ndarray, bias: np.ndarray) -> np.ndarray:
-        """``quantize(y + bias[:, None, :])`` for a per-replica bias stack, fused."""
-        return kernels.bias_quantize_stacked(
-            np.asarray(y, dtype=np.float64),
-            np.asarray(bias, dtype=np.float64),
-            self._inv_scale,
-            self._scale,
-            self._min_raw_i64,
-            self._max_raw_i64,
-        )
+        """``quantize(y + bias[:, None, :])`` for a per-replica bias stack."""
+        y = np.asarray(y, dtype=np.float64)
+        bias = np.asarray(bias, dtype=np.float64)
+        return self._quantized(y + bias[:, None, :])
 
     def matmul_bias_quantize(
         self, x: np.ndarray, w: np.ndarray, b: np.ndarray
     ) -> np.ndarray:
-        """Per-replica ``quantize(x @ w + b)``, fully fused.
+        """Per-replica ``quantize(x @ w + b)`` for stacked weights.
 
-        Only bit-identical across backends when the operands are values of
-        this format and :meth:`supports_exact_matmul` holds for the
-        contraction length — callers must check it and fall back to
-        ``np.matmul`` + :meth:`bias_quantize_stacked` otherwise.
+        Shapes: ``x (R, rows, in)``, ``w (R, in, out)``, ``b (R, out)``.
         """
-        return kernels.matmul_bias_quantize(
-            np.asarray(x, dtype=np.float64),
-            np.asarray(w, dtype=np.float64),
-            np.asarray(b, dtype=np.float64),
-            self._inv_scale,
-            self._scale,
-            self._min_raw_i64,
-            self._max_raw_i64,
-        )
+        x = np.asarray(x, dtype=np.float64)
+        w = np.asarray(w, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        return self._quantized(np.matmul(x, w) + b[:, None, :])
 
     def relu_quantize(self, values: np.ndarray) -> np.ndarray:
-        """``quantize(relu(values))``, fused (NaN propagates like ``np.maximum``)."""
-        return kernels.relu_quantize(
-            np.asarray(values, dtype=np.float64),
-            self._inv_scale,
-            self._scale,
-            self._min_raw_i64,
-            self._max_raw_i64,
-        )
-
-    def supports_exact_matmul(self, in_features: int) -> bool:
-        """Whether a length-``in_features`` dot of values of this format is exact.
-
-        Quantized values are integer multiples of ``u = 2**-fraction_bits``
-        inside ``[min_value, max_value]``; products are multiples of ``u**2``
-        and every partial sum of ``in_features`` products plus a bias is
-        bounded by ``in_features * maxv**2 + maxv``.  When that bound (in
-        units of ``u**2``) stays within float64's exact-integer window, every
-        summation order — BLAS, FMA, or a plain loop — produces bit-identical
-        results, which is what licenses the fused matmul kernel.  The
-        ``2**52`` margin is half the true ``2**53`` window.
-        """
-        maxv = max(abs(self.min_value), abs(self.max_value))
-        return in_features * maxv * maxv + maxv <= 2.0 ** (52 - 2 * self.fraction_bits)
+        """``quantize(relu(values))`` (NaN propagates, like ``np.maximum``)."""
+        values = np.asarray(values, dtype=np.float64)
+        return self._quantized(np.maximum(values, 0.0))
 
     def representable(self, values: np.ndarray, rtol: float = 0.0) -> np.ndarray:
         """Boolean mask of values that fall inside the representable range."""

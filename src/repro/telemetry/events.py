@@ -53,7 +53,6 @@ __all__ = [
     "LeaseAcquired",
     "LeaseStolen",
     "HeartbeatMissed",
-    "KernelOps",
     "EVENT_KINDS",
     "event_from_json_dict",
 ]
@@ -362,29 +361,6 @@ class HeartbeatMissed(TelemetryEvent):
     ts: float = field(default_factory=_ts)
 
     kind = "lease.heartbeat_missed"
-
-
-# --------------------------------------------------------------------------- #
-# Kernel-backend events
-# --------------------------------------------------------------------------- #
-@_register
-@dataclass(frozen=True)
-class KernelOps(TelemetryEvent):
-    """Per-op kernel dispatch counts accumulated over one ``api.run``.
-
-    ``backend`` is the concrete backend that executed (``"numpy"`` or
-    ``"numba"`` — never ``"auto"``) and ``ops`` maps op name (e.g.
-    ``"quantize"``, ``"inject_sites"``, ``"matmul_bias_quantize"``) to how
-    many times the dispatch layer invoked it.  Emitted once per run, after
-    the experiment's campaigns complete; counts cover the emitting process
-    only (worker subprocesses dispatch in their own address space).
-    """
-
-    backend: str = ""
-    ops: Dict[str, int] = field(default_factory=dict)
-    ts: float = field(default_factory=_ts)
-
-    kind = "kernel.ops"
 
 
 def event_from_json_dict(data: Mapping[str, Any]) -> TelemetryEvent:

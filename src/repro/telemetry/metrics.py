@@ -25,7 +25,6 @@ from repro.telemetry.events import (
     CampaignFinished,
     CampaignStarted,
     HeartbeatMissed,
-    KernelOps,
     LeaseAcquired,
     LeaseStolen,
     StoreEvict,
@@ -142,8 +141,6 @@ class Metrics:
         #: Final CI half-widths of adaptive sweep points, by point index.
         self.ci_half_widths: Dict[int, float] = {}
         self.engines_seen: Dict[str, int] = {}
-        #: Kernel backends observed via KernelOps, with total dispatch counts.
-        self.kernel_backends: Dict[str, int] = {}
 
     def _timer(self, name: str) -> Timer:
         timer = self.timers.get(name)
@@ -208,15 +205,6 @@ class Metrics:
                 self.counters.increment("leases.stolen")
             elif isinstance(event, HeartbeatMissed):
                 self.counters.increment("leases.heartbeats_missed")
-            elif isinstance(event, KernelOps):
-                total = 0
-                for op, count in event.ops.items():
-                    self.counters.increment(f"kernels.{op}", count)
-                    total += count
-                if event.backend:
-                    self.kernel_backends[event.backend] = (
-                        self.kernel_backends.get(event.backend, 0) + total
-                    )
 
     # Allow subscribing the instance itself: bus.subscribe(metrics).
     __call__ = observe
@@ -234,8 +222,6 @@ class Metrics:
             }
             if self.engines_seen:
                 summary["engines"] = dict(sorted(self.engines_seen.items()))
-            if self.kernel_backends:
-                summary["kernel_backends"] = dict(sorted(self.kernel_backends.items()))
             if self.ci_half_widths:
                 summary["ci_half_width"] = {
                     "points": len(self.ci_half_widths),

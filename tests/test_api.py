@@ -7,6 +7,7 @@ execution=...)`` is bit-identical to the corresponding legacy ``run_*`` call
 for the same seed, across the serial / parallel / batched engines.
 """
 
+import json
 import warnings
 
 import pytest
@@ -225,6 +226,17 @@ class TestArtifact:
         assert restored == artifact
         # The str form of the path works too (mirrors to_json's signature).
         assert ExperimentArtifact.from_json(str(path)) == artifact
+
+    def test_reads_artifact_with_retired_kernel_backend_field(self, tmp_path):
+        # Artifacts written while ExecutionConfig still had a kernel_backend
+        # knob carry it in their execution block; it is ignored on load.
+        artifact = self._artifact()
+        data = json.loads(artifact.to_json())
+        data["execution"]["kernel_backend"] = "numpy"
+        path = tmp_path / "old-artifact.json"
+        path.write_text(json.dumps(data))
+        assert ExperimentArtifact.from_json(path) == artifact
+        assert ExecutionConfig.from_json_dict(data["execution"]) == artifact.execution
 
     def test_rejects_foreign_payload(self):
         with pytest.raises(ValueError, match="artifact"):

@@ -21,7 +21,7 @@ from repro.core import (
     TransientBitFlip,
     apply_patterns_stacked,
 )
-from repro.envs import EnvPool, make_gridworld
+from repro.envs import make_gridworld
 from repro.experiments.config import GridNNConfig, GridTabularConfig
 from repro.experiments.common import train_grid_nn, train_tabular
 from repro.experiments.fig5_inference import (
@@ -212,26 +212,6 @@ class TestBatchedRolloutParity:
         )
         assert batched == scalar
 
-    def test_env_pool_matches_scalar_rollouts(self):
-        from repro.rl.evaluation import as_batched_policy, greedy_rollout, greedy_rollouts
-
-        def make_policy(seed):
-            policy_rng = np.random.default_rng(seed)
-            return lambda state: int(policy_rng.integers(4))
-
-        replicas = 4
-        scalar = [
-            greedy_rollout(make_policy(seed), make_gridworld("low"), max_steps=30)
-            for seed in range(replicas)
-        ]
-        pool = EnvPool([make_gridworld("low") for _ in range(replicas)])
-        batched = greedy_rollouts(
-            as_batched_policy([make_policy(seed) for seed in range(replicas)]),
-            pool,
-            max_steps=30,
-        )
-        assert batched == scalar
-
     def test_random_start_env_rejects_batching(self):
         env = make_gridworld("middle", random_start=True)
         with pytest.raises(ValueError, match="deterministic starts"):
@@ -398,20 +378,6 @@ class TestFig7TrialParity:
             drone_bundle, "indoor-long", weight_fault=TransientBitFlip(1e-3)
         )
         seeds = _trial_seeds(batch_size)
-        scalar = [trial(np.random.default_rng(seed)) for seed in seeds]
-        batched = trial.run_batch([np.random.default_rng(seed) for seed in seeds])
-        assert batched == scalar
-
-    def test_envpool_backend_equals_scalar(self, drone_bundle):
-        # The generic EnvPool fallback must stay exact too — it guards the
-        # native batch and serves environments without one.
-        trial = _DroneMSFTrial(
-            drone_bundle,
-            "indoor-long",
-            weight_fault=TransientBitFlip(1e-3),
-            env_backend="pool",
-        )
-        seeds = _trial_seeds(3)
         scalar = [trial(np.random.default_rng(seed)) for seed in seeds]
         batched = trial.run_batch([np.random.default_rng(seed) for seed in seeds])
         assert batched == scalar

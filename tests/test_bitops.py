@@ -15,8 +15,10 @@ from repro.quant.bitops import (
     clear_bits,
     flip_bits,
     random_bit_positions,
+    scatter_bits,
     set_bits,
 )
+from repro.quant.qformat import QFormat
 
 
 class TestFlipBits:
@@ -240,3 +242,63 @@ def test_property_stuck_at_forces_bit(words, bit, stuck):
     out = apply_stuck_at(raw, idx, bits, stuck, total_bits=8)
     observed = (out >> bit) & 1
     assert np.all(observed == stuck)
+
+
+# --------------------------------------------------------------------------- #
+# Edge properties of the in-place scatter at the int64 word boundaries
+# --------------------------------------------------------------------------- #
+WIDE = QFormat(1, 30, 31)  # 62-bit words: bit 61 is the sign bit
+
+_WIDE_WORDS = st.lists(
+    st.integers(min_value=0, max_value=(1 << 62) - 1), min_size=1, max_size=8
+)
+
+
+def _scatter(raw, elements, bits, op_code):
+    out = raw.copy()
+    scatter_bits(out, elements, bits, op_code)
+    return out
+
+
+class TestWordEdgeProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(words=_WIDE_WORDS, op=st.sampled_from([OP_FLIP, OP_SET, OP_CLEAR]))
+    def test_sign_bit_of_wide_words(self, words, op):
+        raw = np.array(words, dtype=np.int64)
+        elements = np.arange(len(words), dtype=np.int64)
+        bits = np.full(len(words), WIDE.total_bits - 1, dtype=np.int64)
+        out = _scatter(raw, elements, bits, op)
+        observed = (out >> (WIDE.total_bits - 1)) & 1
+        if op == OP_SET:
+            assert np.all(observed == 1)
+        elif op == OP_CLEAR:
+            assert np.all(observed == 0)
+        else:
+            assert np.array_equal(observed, 1 - ((raw >> (WIDE.total_bits - 1)) & 1))
+
+    @settings(max_examples=30, deadline=None)
+    @given(words=_WIDE_WORDS, op=st.sampled_from([OP_FLIP, OP_SET, OP_CLEAR]))
+    def test_bit_zero(self, words, op):
+        raw = np.array(words, dtype=np.int64)
+        elements = np.arange(len(words), dtype=np.int64)
+        bits = np.zeros(len(words), dtype=np.int64)
+        out = _scatter(raw, elements, bits, op)
+        # Only bit 0 may differ.
+        assert np.array_equal(out >> 1, raw >> 1)
+
+    def test_all_sites_all_bits(self, rng):
+        raw = rng.integers(0, 1 << 16, size=8).astype(np.int64)
+        elements = np.repeat(np.arange(8, dtype=np.int64), 16)
+        bits = np.tile(np.arange(16, dtype=np.int64), 8)
+        out = _scatter(raw, elements, bits, OP_FLIP)
+        assert np.array_equal(out, raw ^ ((1 << 16) - 1))
+        out = _scatter(raw, elements, bits, OP_SET)
+        assert np.all(out == (1 << 16) - 1)
+        out = _scatter(raw, elements, bits, OP_CLEAR)
+        assert np.all(out == 0)
+
+    def test_empty_pattern_is_identity(self):
+        raw = np.arange(6, dtype=np.int64)
+        empty = np.empty(0, dtype=np.int64)
+        out = _scatter(raw, empty, empty, OP_FLIP)
+        assert np.array_equal(out, raw)

@@ -129,3 +129,58 @@ def test_property_quantize_idempotent(values):
     once = Q8_GRID.quantize(arr)
     twice = Q8_GRID.quantize(once)
     assert np.array_equal(once, twice)
+
+
+# --------------------------------------------------------------------------- #
+# The QFormat codec and fused forward helpers vs. the plain numpy formulas
+# --------------------------------------------------------------------------- #
+QFORMATS = [Q8_GRID, Q16_NARROW, Q16_MID, Q16_WIDE]
+QFORMAT_IDS = ["q8_grid", "q16_narrow", "q16_mid", "q16_wide"]
+
+
+def _special_values():
+    return np.array(
+        [0.0, -0.0, 0.5, -0.5, 1e300, -1e300, np.inf, -np.inf, np.nan, 2.0**60],
+        dtype=np.float64,
+    )
+
+
+class TestReferenceFormulas:
+    @pytest.mark.parametrize("qf", QFORMATS, ids=QFORMAT_IDS)
+    def test_quantize_matches_inline_formula(self, rng, qf):
+        values = np.concatenate(
+            [rng.normal(0, qf.max_value, size=64), _special_values()]
+        )
+        # NaN exercises the historical invalid-cast path on both sides;
+        # silence numpy's warning about it (the *values* are the contract).
+        with np.errstate(invalid="ignore"):
+            out = qf.quantize(values)
+            raw = np.rint(values * (2.0**qf.fraction_bits)).astype(np.int64)
+        raw = np.minimum(np.maximum(raw, np.int64(qf.min_raw)), np.int64(qf.max_raw))
+        expected = raw.astype(np.float64) * (2.0**-qf.fraction_bits)
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("qf", QFORMATS, ids=QFORMAT_IDS)
+    def test_encode_decode_roundtrip(self, rng, qf):
+        values = rng.normal(0, qf.max_value, size=128)
+        raw = qf.encode(values)
+        assert np.array_equal(qf.decode(raw), qf.quantize(values))
+
+    def test_fused_matmul_equals_unfused(self, rng):
+        qf = Q16_NARROW
+        x = qf.quantize(rng.normal(size=(3, 2, 6)))
+        w = qf.quantize(rng.normal(size=(3, 6, 4)))
+        b = qf.quantize(rng.normal(size=(3, 4)))
+        fused = qf.matmul_bias_quantize(x, w, b)
+        assert np.array_equal(fused, qf.quantize(np.matmul(x, w) + b[:, None, :]))
+        assert np.array_equal(fused, qf.bias_quantize_stacked(np.matmul(x, w), b))
+
+    def test_relu_quantize_keeps_nan_behaviour(self):
+        values = np.array([-1.0, 0.0, 2.5, np.nan, -np.inf, np.inf])
+        qf = Q8_GRID
+        # NaN deliberately exercises the historical invalid-cast behaviour;
+        # silence numpy's warning about it (the *values* are the contract).
+        with np.errstate(invalid="ignore"):
+            fused = qf.relu_quantize(values)
+            unfused = qf.quantize(np.maximum(values, 0.0))
+        assert np.array_equal(fused, unfused)

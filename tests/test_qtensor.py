@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
 from repro.core.injector import PermanentTrainingFaultHook
 from repro.core.sites import FaultPattern
 from repro.quant import Q8_GRID, Q16_MID, Q16_NARROW, Q16_WIDE, QFormat, QTensor
@@ -234,24 +233,37 @@ class TestElementAccess:
             for col in range(4):
                 assert tensor.item((row, col)) == decoded[row, col]
 
-    def test_values_stays_a_fresh_decode(self, small_qtensor):
+    @pytest.fixture
+    def decode_calls(self, monkeypatch):
+        """Count every ``QFormat.decode`` call made while the test runs."""
+        calls = []
+        decode = QFormat.decode
+
+        def counting_decode(qformat, raw):
+            calls.append(qformat)
+            return decode(qformat, raw)
+
+        monkeypatch.setattr(QFormat, "decode", counting_decode)
+        return calls
+
+    def test_values_stays_a_fresh_decode(self, small_qtensor, decode_calls):
         small_qtensor.row(0)
-        before = kernels.counters_snapshot().get("decode", 0)
+        before = len(decode_calls)
         first = small_qtensor.values
         first[:] = 0.0
         assert not np.array_equal(small_qtensor.values, first)
-        assert kernels.counters_snapshot().get("decode", 0) - before == 2
+        assert len(decode_calls) - before == 2
 
-    def test_element_reads_decode_once_per_raw_change(self, small_qtensor):
-        before = kernels.counters_snapshot().get("decode", 0)
+    def test_element_reads_decode_once_per_raw_change(self, small_qtensor, decode_calls):
+        before = len(decode_calls)
         for _ in range(3):
             small_qtensor.row(1)
             small_qtensor.item((2, 3))
             small_qtensor.set_item((0, 0), 1.25)
-        assert kernels.counters_snapshot().get("decode", 0) - before == 1
+        assert len(decode_calls) - before == 1
         small_qtensor.inject_bit_flips(np.array([0]), np.array([0]))
         small_qtensor.row(0)
-        assert kernels.counters_snapshot().get("decode", 0) - before == 2
+        assert len(decode_calls) - before == 2
 
 
 _ELEMENTS, _BITS = np.array([0, 3, 3, 7]), np.array([7, 0, 5, 2])

@@ -102,7 +102,7 @@ class TestEvents:
 
     def test_registry_covers_every_family(self):
         families = {kind.split(".")[0] for kind in EVENT_KINDS}
-        assert families == {"campaign", "trial", "sweep", "store", "lease", "kernel"}
+        assert families == {"campaign", "trial", "sweep", "store", "lease"}
 
 
 # --------------------------------------------------------------------------- #
@@ -563,3 +563,27 @@ class TestProgressAndCli:
         bad.write_text('{"kind": "no.such.event"}\n')
         assert main(["trace", "validate", str(bad)]) == 1
         assert "invalid trace" in capsys.readouterr().err
+
+    def test_cli_trace_with_retired_kernel_ops_line(self, tmp_path, capsys):
+        # Traces recorded while the kernel-backend layer existed carry
+        # kernel.ops lines: summarize skips the unknown kind, validate
+        # rejects it.
+        from repro.__main__ import main
+
+        trace = tmp_path / "old.jsonl"
+        lines = [
+            CampaignStarted(campaign="c", repetitions=2).to_json_dict(),
+            {"kind": "kernel.ops", "backend": "numpy", "ops": {"quantize": 3},
+             "ts": 1.0},
+            CampaignFinished(campaign="c").to_json_dict(),
+        ]
+        trace.write_text("".join(json.dumps(line) + "\n" for line in lines))
+
+        assert main(["trace", "summarize", str(trace), "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["counters"]["campaigns.started"] == 1
+        assert data["counters"]["campaigns.finished"] == 1
+        assert not any("kernel" in name for name in data["counters"])
+
+        assert main(["trace", "validate", str(trace)]) == 1
+        assert "kernel.ops" in capsys.readouterr().err
