@@ -12,6 +12,7 @@ placements at matching densities with a guaranteed path to the goal).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,11 +22,13 @@ from repro.envs.batched import BatchedEnv
 
 __all__ = [
     "GridLayout",
+    "GridOutcomes",
     "GridWorld",
     "GridWorldBatch",
     "LOW_DENSITY",
     "MIDDLE_DENSITY",
     "HIGH_DENSITY",
+    "grid_outcomes",
     "make_gridworld",
 ]
 
@@ -150,13 +153,82 @@ HIGH_DENSITY = GridLayout(
 
 _LAYOUTS = {layout.name: layout for layout in (LOW_DENSITY, MIDDLE_DENSITY, HIGH_DENSITY)}
 
+#: One step's result: ``(next_state, reward, done, success)``.
+Outcome = Tuple[int, float, bool, bool]
+
+
+@dataclass(frozen=True, eq=False)
+class GridOutcomes:
+    """The Grid World dynamics of one layout and reward set, as a table.
+
+    ``table[state][action]`` is the :data:`Outcome` of taking ``action`` in
+    ``state``.  The arrays hold the same entries with shape
+    ``(n_states, n_actions)`` for vectorized gathers, and ``start_states``
+    lists the free and source cells an exploring start draws from.
+    """
+
+    table: Tuple[Tuple[Outcome, ...], ...]
+    next_state: np.ndarray
+    reward: np.ndarray
+    done: np.ndarray
+    success: np.ndarray
+    start_states: Tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def grid_outcomes(
+    layout: GridLayout,
+    goal_reward: float,
+    hell_reward: float,
+    free_reward: float,
+    bump_reward: float,
+) -> GridOutcomes:
+    """Every (state, action) outcome of ``layout``; cached, as layouts are frozen.
+
+    Moving off the grid leaves the agent in place with ``bump_reward``;
+    entering the goal or a hell cell ends the episode with ``goal_reward`` /
+    ``hell_reward``; any other move pays ``free_reward``.
+    """
+    height, width = layout.size
+    table = []
+    for state in range(layout.n_cells):
+        row, col = divmod(state, width)
+        outcomes = []
+        for action in range(len(ACTION_DELTAS)):
+            d_row, d_col = ACTION_DELTAS[action]
+            new_row, new_col = row + d_row, col + d_col
+            bumped = not (0 <= new_row < height and 0 <= new_col < width)
+            if bumped:
+                new_row, new_col = row, col
+            next_state = new_row * width + new_col
+            cell = layout.cell(new_row, new_col)
+            if cell == GOAL:
+                outcomes.append((next_state, float(goal_reward), True, True))
+            elif cell == HELL:
+                outcomes.append((next_state, float(hell_reward), True, False))
+            else:
+                reward = bump_reward if bumped else free_reward
+                outcomes.append((next_state, float(reward), False, False))
+        table.append(tuple(outcomes))
+    columns = zip(*(outcome for outcomes in table for outcome in outcomes))
+    arrays = []
+    for column, dtype in zip(columns, (np.int64, np.float64, bool, bool)):
+        array = np.array(column, dtype=dtype).reshape(layout.n_cells, len(ACTION_DELTAS))
+        array.flags.writeable = False  # shared by every env of this layout
+        arrays.append(array)
+    start_states = tuple(
+        state for state, symbol in enumerate("".join(layout.rows)) if symbol in (FREE, SOURCE)
+    )
+    return GridOutcomes(tuple(table), *arrays, start_states=start_states)
+
 
 class GridWorld(Environment):
     """Episodic Grid World MDP.
 
     States are flattened cell indices ``row * width + col`` (``|S| = n**2``);
     actions are the four cardinal moves.  Moving off the grid leaves the
-    agent in place (reward 0).
+    agent in place (reward 0).  A step is a lookup in the layout's
+    :func:`grid_outcomes` table, built from the rewards given here.
     """
 
     def __init__(
@@ -191,7 +263,10 @@ class GridWorld(Environment):
         self.n_actions = len(ACTION_DELTAS)
         self._source = layout.find(SOURCE)
         self._goal = layout.find(GOAL)
-        self._position = self._source
+        self._outcomes = grid_outcomes(
+            layout, goal_reward, hell_reward, free_reward, bump_reward
+        )
+        self._state = self.state_index(self._source)
 
     # ------------------------------------------------------------------ #
     # State helpers
@@ -224,35 +299,17 @@ class GridWorld(Environment):
     # ------------------------------------------------------------------ #
     def reset(self) -> int:
         if self.random_start:
-            free_cells = [
-                (r, c)
-                for r in range(self.height)
-                for c in range(self.width)
-                if self.layout.cell(r, c) in (FREE, SOURCE)
-            ]
-            self._position = free_cells[int(self.rng.integers(len(free_cells)))]
+            starts = self._outcomes.start_states
+            self._state = starts[int(self.rng.integers(len(starts)))]
         else:
-            self._position = self._source
-        return self.state_index(self._position)
+            self._state = self.state_index(self._source)
+        return self._state
 
     def step(self, action: int) -> Tuple[int, float, bool, Dict[str, bool]]:
         self._check_action(action)
-        d_row, d_col = ACTION_DELTAS[action]
-        row, col = self._position
-        new_row, new_col = row + d_row, col + d_col
-        bumped = False
-        if not (0 <= new_row < self.height and 0 <= new_col < self.width):
-            # Bumping into the boundary keeps the agent in place.
-            new_row, new_col = row, col
-            bumped = True
-        self._position = (new_row, new_col)
-        cell = self.layout.cell(new_row, new_col)
-        if cell == GOAL:
-            return self.state_index(self._position), self.goal_reward, True, {"success": True}
-        if cell == HELL:
-            return self.state_index(self._position), self.hell_reward, True, {"success": False}
-        reward = self.bump_reward if bumped else self.free_reward
-        return self.state_index(self._position), reward, False, {"success": False}
+        next_state, reward, done, success = self._outcomes.table[self._state][action]
+        self._state = next_state
+        return next_state, reward, done, {"success": success}
 
     # ------------------------------------------------------------------ #
     # Batched stepping
@@ -299,7 +356,7 @@ class GridWorld(Environment):
 
     def render(self, agent_state: Optional[int] = None) -> str:
         """ASCII rendering with the agent marked ``A``."""
-        position = self._position if agent_state is None else self.position_of(agent_state)
+        position = self.position_of(self._state if agent_state is None else agent_state)
         lines = []
         for r, row in enumerate(self.layout.rows):
             chars = list(row)
@@ -309,24 +366,15 @@ class GridWorld(Environment):
         return "\n".join(lines)
 
 
-#: Cell-type codes used by the vectorized stepping kernel.
-_CELL_FREE, _CELL_GOAL, _CELL_HELL = 0, 1, 2
-
-#: Action deltas as arrays indexed by action, for vectorized stepping.
-_DELTA_ROW = np.array([ACTION_DELTAS[a][0] for a in range(len(ACTION_DELTAS))], dtype=np.int64)
-_DELTA_COL = np.array([ACTION_DELTAS[a][1] for a in range(len(ACTION_DELTAS))], dtype=np.int64)
-
-
 class GridWorldBatch(BatchedEnv):
     """Vectorized lockstep stepping of B independent Grid World episodes.
 
     This is the Grid World's batched-stepping mode (built through
-    :meth:`GridWorld.batched`): replica positions live in one integer
-    array, and :meth:`step_many` resolves moves, boundary bumps, rewards
-    and termination for every active replica with a handful of vectorized
-    operations instead of B Python-level ``step`` calls.  The dynamics are
-    purely integer/table lookups, so each replica's trajectory is exactly
-    the scalar :meth:`GridWorld.step` trajectory for the same actions.
+    :meth:`GridWorld.batched`): replica states live in one integer array,
+    and :meth:`step_many` gathers every active replica's outcome from the
+    same :func:`grid_outcomes` table the scalar :meth:`GridWorld.step`
+    reads, so each replica's trajectory is exactly the scalar trajectory
+    for the same actions.
     """
 
     def __init__(self, env: GridWorld, n_replicas: int) -> None:
@@ -337,18 +385,7 @@ class GridWorldBatch(BatchedEnv):
         self.n_replicas = n_replicas
         self.height, self.width = env.height, env.width
         self._source_state = env.source_state
-        self._goal_reward = env.goal_reward
-        self._hell_reward = env.hell_reward
-        self._free_reward = env.free_reward
-        self._bump_reward = env.bump_reward
-        cells = np.full(self.layout.n_cells, _CELL_FREE, dtype=np.int64)
-        for r, row in enumerate(self.layout.rows):
-            for c, symbol in enumerate(row):
-                if symbol == GOAL:
-                    cells[r * self.width + c] = _CELL_GOAL
-                elif symbol == HELL:
-                    cells[r * self.width + c] = _CELL_HELL
-        self._cell_types = cells
+        self._outcomes = env._outcomes
         self._states = np.full(n_replicas, self._source_state, dtype=np.int64)
 
     def reset_all(self) -> List[int]:
@@ -363,33 +400,17 @@ class GridWorldBatch(BatchedEnv):
         if actions.shape != indices.shape:
             raise ValueError("actions and indices must have the same shape")
         self._check_actions(actions)
-        rows, cols = np.divmod(self._states[indices], self.width)
-        new_rows = rows + _DELTA_ROW[actions]
-        new_cols = cols + _DELTA_COL[actions]
-        bumped = (
-            (new_rows < 0)
-            | (new_rows >= self.height)
-            | (new_cols < 0)
-            | (new_cols >= self.width)
-        )
-        new_rows = np.where(bumped, rows, new_rows)
-        new_cols = np.where(bumped, cols, new_cols)
-        states = new_rows * self.width + new_cols
+        outcomes = self._outcomes
+        current = self._states[indices]
+        states = outcomes.next_state[current, actions]
         self._states[indices] = states
-
-        cell = self._cell_types[states]
-        rewards = np.where(
-            cell == _CELL_GOAL,
-            self._goal_reward,
-            np.where(
-                cell == _CELL_HELL,
-                self._hell_reward,
-                np.where(bumped, self._bump_reward, self._free_reward),
-            ),
-        ).astype(np.float64)
-        dones = cell != _CELL_FREE
-        infos = [{"success": bool(c == _CELL_GOAL)} for c in cell]
-        return [int(s) for s in states], rewards, dones, infos
+        infos = [{"success": success} for success in outcomes.success[current, actions].tolist()]
+        return (
+            states.tolist(),
+            outcomes.reward[current, actions],
+            outcomes.done[current, actions],
+            infos,
+        )
 
 
 def make_gridworld(density: str = "middle", **kwargs) -> GridWorld:

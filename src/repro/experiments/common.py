@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from repro.rl.imitation import behaviour_clone
 
 __all__ = [
     "run_campaign",
+    "run_fault_campaign",
     "campaign_checkpoint_path",
     "build_tabular_agent",
     "build_nn_agent",
@@ -122,6 +123,34 @@ def run_campaign(
     return campaign.run(
         trial_fn, runner=runner, progress=progress, checkpoint=checkpoint, resume=resume
     )
+
+
+def run_fault_campaign(
+    campaign: Campaign,
+    trial_fn: TrialFn,
+    bit_error_rate: float,
+    fault_free: Dict[Hashable, CampaignResult],
+    *,
+    execution: "ExecutionConfig",
+    key: Hashable = (),
+) -> CampaignResult:
+    """Run one campaign of a fault sweep, and each fault-free campaign once.
+
+    A training-fault trial adds no fault at ``bit_error_rate == 0``, and its
+    RNG depends only on the campaign seed and the trial index.  So the BER-0
+    campaigns a driver runs for different fault kinds (stuck-at-0 and
+    stuck-at-1, or each injection episode) compute the same outcomes.  The
+    first one runs and is kept in ``fault_free`` (one dict per driver call);
+    a later one with the same seed, size and ``key`` reports that result and
+    executes no trial.  ``key`` names anything else the trial depends on,
+    such as the training length.
+    """
+    if bit_error_rate > 0:
+        return run_campaign(campaign, trial_fn, execution=execution)
+    key = (campaign.seed, campaign.repetitions, key)
+    if key not in fault_free:
+        fault_free[key] = run_campaign(campaign, trial_fn, execution=execution)
+    return fault_free[key]
 
 
 # --------------------------------------------------------------------------- #

@@ -20,7 +20,7 @@ from repro.core.sites import BufferSelector
 from repro.experiments.common import (
     evaluate_grid_policy,
     greedy_policy,
-    run_campaign,
+    run_fault_campaign,
     train_grid_nn,
     train_tabular,
 )
@@ -92,6 +92,7 @@ def run_transient_training_heatmap(
     approach = "nn" if isinstance(config, GridNNConfig) else "tabular"
     repetitions = execution.resolve_repetitions(config.repetitions)
     table = ResultTable(title=f"Fig2 transient training heatmap ({approach})")
+    fault_free = {}
     for ber in bit_error_rates:
         for episode in injection_episodes:
             def trial(rng: np.random.Generator, ber=ber, episode=episode) -> TrialOutcome:
@@ -108,7 +109,7 @@ def run_transient_training_heatmap(
             campaign = Campaign(
                 f"fig2-{approach}-transient-ber{ber}-ep{episode}", repetitions, seed=seed
             )
-            result = run_campaign(campaign, trial, execution=execution)
+            result = run_fault_campaign(campaign, trial, ber, fault_free, execution=execution)
             table.add(
                 approach=approach,
                 fault_type="transient",
@@ -146,6 +147,7 @@ def run_permanent_training_sweep(
     approach = "nn" if isinstance(config, GridNNConfig) else "tabular"
     repetitions = execution.resolve_repetitions(config.repetitions)
     table = ResultTable(title=f"Fig2 permanent training sweep ({approach})")
+    fault_free = {}
     for stuck_value in (0, 1):
         for ber in bit_error_rates:
             def trial(rng: np.random.Generator, ber=ber, stuck=stuck_value) -> TrialOutcome:
@@ -160,7 +162,7 @@ def run_permanent_training_sweep(
             campaign = Campaign(
                 f"fig2-{approach}-sa{stuck_value}-ber{ber}", repetitions, seed=seed
             )
-            result = run_campaign(campaign, trial, execution=execution)
+            result = run_fault_campaign(campaign, trial, ber, fault_free, execution=execution)
             table.add(
                 approach=approach,
                 fault_type=f"stuck-at-{stuck_value}",

@@ -23,6 +23,7 @@ from repro.experiments.common import (
     evaluate_grid_policy,
     greedy_policy,
     run_campaign,
+    run_fault_campaign,
     train_grid_nn,
     train_tabular,
 )
@@ -158,6 +159,7 @@ def run_permanent_extra_training(
     approach = "nn" if isinstance(config, GridNNConfig) else "tabular"
     repetitions = execution.resolve_repetitions(config.repetitions)
     table = ResultTable(title=f"Fig4 permanent extra training ({approach})")
+    fault_free = {}
 
     for stuck_value in (0, 1):
         for extra in extra_episode_grid:
@@ -184,7 +186,9 @@ def run_permanent_extra_training(
                     repetitions,
                     seed=seed,
                 )
-                result = run_campaign(campaign, trial, execution=execution)
+                result = run_fault_campaign(
+                    campaign, trial, ber, fault_free, execution=execution, key=extra
+                )
                 table.add(
                     approach=approach,
                     fault_type=f"stuck-at-{stuck_value}",

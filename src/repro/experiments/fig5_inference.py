@@ -176,7 +176,9 @@ class _TabularInferenceTrial:
             int(rng.integers(self.max_steps)) if self.mode == "transient-1" else -1
             for rng in rngs
         ]
-        q_stack = stacked.values / self.agent.value_scale
+        # Nested lists: the tie-break scans a row of Python floats far
+        # faster than a row of numpy scalars.
+        q_stack = (stacked.values / self.agent.value_scale).tolist()
 
         def policy(step: int, indices: np.ndarray, states: List[object]) -> List[int]:
             actions = []
@@ -185,7 +187,7 @@ class _TabularInferenceTrial:
                     actions.append(self._transient1_action(rngs[replica], states[j]))
                 else:
                     actions.append(
-                        greedy_tie_break(q_stack[replica, states[j]], working_rngs[replica])
+                        greedy_tie_break(q_stack[replica][states[j]], working_rngs[replica])
                     )
             return actions
 

@@ -41,6 +41,7 @@ from repro.experiments.common import (
     build_drone_bundle,
     evaluate_drone_msf,
     run_campaign,
+    run_fault_campaign,
 )
 from repro.experiments.config import (
     FAST_PARAM,
@@ -516,6 +517,7 @@ def run_drone_training_faults(
     if injection_episodes is None:
         injection_episodes = [0, max(0, config.finetune_episodes - 1)]
     table = ResultTable(title="Fig7a drone online-training faults")
+    fault_free = {}
 
     for ber in bit_error_rates:
         for episode in injection_episodes:
@@ -533,9 +535,11 @@ def run_drone_training_faults(
                 msf = _finetune_and_measure(bundle, rng, hooks)
                 return TrialOutcome(metric=msf)
 
-            result = run_campaign(
+            result = run_fault_campaign(
                 Campaign(f"fig7a-transient-ber{ber}-ep{episode}", repetitions, seed=seed + 5),
                 trial,
+                ber,
+                fault_free,
                 execution=execution,
             )
             table.add(
@@ -562,9 +566,11 @@ def run_drone_training_faults(
                 msf = _finetune_and_measure(bundle, rng, hooks)
                 return TrialOutcome(metric=msf)
 
-            result = run_campaign(
+            result = run_fault_campaign(
                 Campaign(f"fig7a-sa{stuck_value}-ber{ber}", repetitions, seed=seed + 6),
                 trial,
+                ber,
+                fault_free,
                 execution=execution,
             )
             table.add(

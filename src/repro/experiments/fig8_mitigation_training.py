@@ -21,7 +21,7 @@ from repro.core.mitigation.exploration import AdaptiveExplorationController
 from repro.experiments.common import (
     evaluate_grid_policy,
     greedy_policy,
-    run_campaign,
+    run_fault_campaign,
     train_grid_nn,
     train_tabular,
 )
@@ -99,6 +99,7 @@ def run_mitigated_transient_heatmap(
     repetitions = execution.resolve_repetitions(config.repetitions)
     label = "mitigated" if mitigation else "unmitigated"
     table = ResultTable(title=f"Fig8 transient training with mitigation ({approach}, {label})")
+    fault_free = {}
     for ber in bit_error_rates:
         for episode in injection_episodes:
             def trial(rng: np.random.Generator, ber=ber, episode=episode) -> TrialOutcome:
@@ -112,11 +113,13 @@ def run_mitigated_transient_heatmap(
                 rate = _train_and_evaluate(config, rng, hooks)
                 return TrialOutcome(metric=rate)
 
-            result = run_campaign(
+            result = run_fault_campaign(
                 Campaign(
                     f"fig8-{approach}-{label}-ber{ber}-ep{episode}", repetitions, seed=seed
                 ),
                 trial,
+                ber,
+                fault_free,
                 execution=execution,
             )
             table.add(
@@ -159,6 +162,7 @@ def run_mitigated_permanent_sweep(
     repetitions = execution.resolve_repetitions(config.repetitions)
     label = "mitigated" if mitigation else "unmitigated"
     table = ResultTable(title=f"Fig8 permanent training with mitigation ({approach}, {label})")
+    fault_free = {}
     for stuck_value in (0, 1):
         for ber in bit_error_rates:
             def trial(rng: np.random.Generator, ber=ber, stuck=stuck_value) -> TrialOutcome:
@@ -172,11 +176,13 @@ def run_mitigated_permanent_sweep(
                 rate = _train_and_evaluate(config, rng, hooks)
                 return TrialOutcome(metric=rate)
 
-            result = run_campaign(
+            result = run_fault_campaign(
                 Campaign(
                     f"fig8-{approach}-{label}-sa{stuck_value}-ber{ber}", repetitions, seed=seed
                 ),
                 trial,
+                ber,
+                fault_free,
                 execution=execution,
             )
             table.add(

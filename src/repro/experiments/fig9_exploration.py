@@ -19,7 +19,12 @@ import numpy as np
 from repro.api.execution import ExecutionConfig, resolve_execution
 from repro.core.campaign import Campaign, TrialOutcome
 from repro.core.injector import PermanentTrainingFaultHook, TransientTrainingFaultHook
-from repro.experiments.common import run_campaign, train_grid_nn, train_tabular
+from repro.experiments.common import (
+    run_campaign,
+    run_fault_campaign,
+    train_grid_nn,
+    train_tabular,
+)
 from repro.experiments.config import (
     APPROACH_PARAM,
     FAST_PARAM,
@@ -76,6 +81,7 @@ def run_exploration_adjustment_sweep(
     repetitions = execution.resolve_repetitions(config.repetitions)
     inject_episode = config.episodes // 2
     table = ResultTable(title=f"Fig9 exploration adjustment ({approach})")
+    fault_free = {}
 
     for fault_type in fault_types:
         for ber in bit_error_rates:
@@ -112,9 +118,11 @@ def run_exploration_adjustment_sweep(
                     },
                 )
 
-            result = run_campaign(
+            result = run_fault_campaign(
                 Campaign(f"fig9-{approach}-{fault_type}-ber{ber}", repetitions, seed=seed),
                 trial,
+                ber,
+                fault_free,
                 execution=execution,
             )
             table.add(

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Any, Dict, NamedTuple
 
 import numpy as np
 
@@ -12,12 +11,12 @@ from repro.quant.qtensor import QTensor
 __all__ = ["Transition", "Agent"]
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     """One environment interaction ``(s, a, r, s', done)``.
 
     Matches the data tuple :math:`D_i = (s_i, a_i, s_{i+1}, r_i)` of Sec. 3.1,
-    extended with the terminal flag needed for bootstrapped targets.
+    extended with the terminal flag needed for bootstrapped targets.  A named
+    tuple: immutable, and cheap to build once per training step.
     """
 
     state: Any

@@ -29,14 +29,16 @@ def greedy_tie_break(row: Sequence[float], rng: np.random.Generator) -> int:
     """Index of the largest entry of ``row``, ties broken uniformly at random.
 
     Returns what ``rng.choice(np.flatnonzero(row == row.max()))`` returns and
-    leaves ``rng`` in the same state.  A unique maximum is returned without
-    calling ``rng``: ``Generator.choice`` over one element draws nothing.
+    leaves ``rng`` in the same state: ``Generator.choice`` over ``n``
+    candidates draws one ``integers(n)``, which is all this makes.  A unique
+    maximum is returned without calling ``rng``: ``Generator.choice`` over
+    one element draws nothing.
     """
     top = max(row)
     best = [index for index, value in enumerate(row) if value == top]
     if len(best) == 1:
         return best[0]
-    return int(rng.choice(best))
+    return best[int(rng.integers(len(best)))]
 
 
 class TabularQAgent(Agent):
@@ -118,12 +120,17 @@ class TabularQAgent(Agent):
     # Acting
     # ------------------------------------------------------------------ #
     def select_action(self, state: int, explore: bool = True) -> int:
-        """Epsilon-greedy action selection (ties broken randomly)."""
-        if explore and self.rng.random() < self.schedule.epsilon:
-            return int(self.rng.integers(self.n_actions))
+        """Epsilon-greedy action selection (ties broken randomly).
+
+        The greedy pick compares the stored values directly: dividing every
+        entry by the positive ``value_scale`` keeps their order and their
+        ties, as stored values are fixed-point words far apart in ``float``.
+        """
+        rng = self.rng
+        if explore and rng.random() < self.schedule.epsilon:
+            return int(rng.integers(self.n_actions))
         self._check_state(state)
-        scale = self.value_scale
-        return greedy_tie_break([q / scale for q in self._table.row(state)], self.rng)
+        return greedy_tie_break(self._table.row(state), rng)
 
     # ------------------------------------------------------------------ #
     # Learning

@@ -25,7 +25,41 @@ from repro.envs.drone import (
     wrap_angle,
 )
 from repro.envs.drone.expert import GreedyDepthExpert, collect_dataset
-from repro.envs.gridworld import ACTION_DELTAS, GOAL, HELL
+from repro.envs.gridworld import ACTION_DELTAS, FREE, GOAL, HELL, SOURCE
+from repro.experiments.config import GridNNConfig
+
+
+# --------------------------------------------------------------------------- #
+# Reference Grid World step: the move / bump / cell branches written out.
+# GridWorld.step and GridWorldBatch.step_many read one precomputed outcome
+# table; this is the independent oracle both are checked against.
+# --------------------------------------------------------------------------- #
+def reference_grid_step(env, state, action):
+    """``(next_state, reward, done, success)`` of ``action`` taken in ``state``."""
+    d_row, d_col = ACTION_DELTAS[action]
+    row, col = env.position_of(state)
+    new_row, new_col = row + d_row, col + d_col
+    bumped = False
+    if not (0 <= new_row < env.height and 0 <= new_col < env.width):
+        # Bumping into the boundary keeps the agent in place.
+        new_row, new_col = row, col
+        bumped = True
+    next_state = env.state_index((new_row, new_col))
+    cell = env.layout.cell(new_row, new_col)
+    if cell == GOAL:
+        return next_state, env.goal_reward, True, True
+    if cell == HELL:
+        return next_state, env.hell_reward, True, False
+    reward = env.bump_reward if bumped else env.free_reward
+    return next_state, reward, False, False
+
+
+#: The tabular preset (the paper's {+1, -1, 0} rewards) and the NN training
+#: preset (step and bump penalties).
+GRID_REWARD_PRESETS = {
+    "tabular": {},
+    "nn": {"free_reward": GridNNConfig.free_reward, "bump_reward": GridNNConfig.bump_reward},
+}
 
 
 # --------------------------------------------------------------------------- #
@@ -243,6 +277,61 @@ class TestGridWorldDynamics:
     def test_render_marks_agent(self, grid_env):
         grid_env.reset()
         assert "A" in grid_env.render()
+
+    @pytest.mark.parametrize("preset", sorted(GRID_REWARD_PRESETS))
+    @pytest.mark.parametrize("layout", [LOW_DENSITY, MIDDLE_DENSITY, HIGH_DENSITY],
+                             ids=lambda layout: layout.name)
+    def test_step_matches_reference_everywhere(self, layout, preset):
+        env = GridWorld(layout, **GRID_REWARD_PRESETS[preset])
+        for state in range(env.n_states):
+            for action in range(env.n_actions):
+                env._state = state
+                next_state, reward, done, info = env.step(action)
+                expected = reference_grid_step(env, state, action)
+                assert (next_state, reward, done, info["success"]) == expected
+                assert type(next_state) is int and type(reward) is float
+
+    @pytest.mark.parametrize("preset", sorted(GRID_REWARD_PRESETS))
+    @pytest.mark.parametrize("layout", [LOW_DENSITY, MIDDLE_DENSITY, HIGH_DENSITY],
+                             ids=lambda layout: layout.name)
+    def test_batched_step_matches_reference_everywhere(self, layout, preset):
+        env = GridWorld(layout, **GRID_REWARD_PRESETS[preset])
+        states = np.repeat(np.arange(env.n_states), env.n_actions)
+        actions = np.tile(np.arange(env.n_actions), env.n_states)
+        batch = env.batched(states.size)
+        batch._states[:] = states
+        next_states, rewards, dones, infos = batch.step_many(actions, np.arange(states.size))
+        for i, (state, action) in enumerate(zip(states.tolist(), actions.tolist())):
+            expected = reference_grid_step(env, state, action)
+            assert (next_states[i], rewards[i], dones[i], infos[i]["success"]) == expected
+        assert batch._states.tolist() == next_states
+
+    def test_outcome_table_is_shared_and_read_only(self):
+        env = make_gridworld("middle")
+        other = make_gridworld("middle")
+        assert env._outcomes is other._outcomes
+        assert make_gridworld("middle", bump_reward=-0.5)._outcomes is not env._outcomes
+        with pytest.raises(ValueError):
+            env._outcomes.next_state[0, 0] = 5
+
+    @pytest.mark.parametrize("preset", sorted(GRID_REWARD_PRESETS))
+    def test_random_start_first_step_keeps_drawn_start(self, preset):
+        for seed in range(40):
+            env = make_gridworld(
+                "middle", random_start=True, rng=np.random.default_rng(seed),
+                **GRID_REWARD_PRESETS[preset],
+            )
+            start = env.reset()
+            free_cells = [
+                state for state in range(env.n_states)
+                if env.layout.cell(*env.position_of(state)) in (FREE, SOURCE)
+            ]
+            assert start == free_cells[int(np.random.default_rng(seed).integers(len(free_cells)))]
+            action = seed % env.n_actions
+            next_state, reward, done, info = env.step(action)
+            assert (next_state, reward, done, info["success"]) == reference_grid_step(
+                env, start, action
+            )
 
 
 class TestCorridorWorld:

@@ -39,9 +39,14 @@ from repro.experiments import (
     fig10_anomaly,
     summary,
 )
+from repro.api.execution import ExecutionConfig
+from repro.core.campaign import Campaign, TrialOutcome
+from repro.core.runner import executed_trial_count
 from repro.experiments.common import build_drone_bundle, clear_drone_cache, greedy_policy, train_tabular
 from repro.io.results import ResultTable
 from repro.quant.qformat import Q16_WIDE
+from repro.sweep import SweepRunner, SweepSpec
+from repro.telemetry import Metrics, default_bus
 
 
 @pytest.fixture(scope="module")
@@ -92,10 +97,14 @@ class TestConfig:
 
 class TestGridWorldDrivers:
     def test_fig2_transient_schema(self, fast_tabular):
+        before = executed_trial_count()
         table = fig2_training.run_transient_training_heatmap(
             fast_tabular, [0.0, 0.01], [0, 100], repetitions=1
         )
         assert len(table) == 4
+        # Without a fault the injection episode is moot: one BER-0 campaign.
+        assert executed_trial_count() - before == 3
+        assert len({row["success_rate"] for row in table.rows if row["bit_error_rate"] == 0}) == 1
         assert set(table.columns) >= {"bit_error_rate", "injection_episode", "success_rate"}
         matrix = fig2_training.heatmap_matrix(table, [0.0, 0.01], [0, 100])
         assert matrix.shape == (2, 2)
@@ -202,6 +211,89 @@ class TestGridWorldDrivers:
         assert gains.rows[0]["improvement_factor"] == pytest.approx(2.0)
 
 
+#: The stuck-at sweeps, each run at BER 0 and 0.01: four campaigns of which
+#: the two BER-0 ones compute the same trials.
+PERMANENT_SWEEPS = {
+    "fig2": lambda config, execution: fig2_training.run_permanent_training_sweep(
+        config, [0.0, 0.01], execution=execution
+    ),
+    "fig4": lambda config, execution: fig4_convergence.run_permanent_extra_training(
+        config, [0.0, 0.01], extra_episode_grid=(20,), execution=execution
+    ),
+    "fig8": lambda config, execution: fig8_mitigation_training.run_mitigated_permanent_sweep(
+        config, [0.0, 0.01], execution=execution
+    ),
+}
+
+
+class TestFaultFreeCampaigns:
+    @pytest.fixture(scope="class")
+    def tiny_tabular(self):
+        return GridTabularConfig(episodes=60, max_steps=40, eval_trials=2)
+
+    def test_helper_runs_each_fault_free_campaign_once(self):
+        calls = []
+
+        def trial(rng):
+            calls.append(None)
+            return TrialOutcome(metric=float(rng.random()))
+
+        execution = ExecutionConfig(seed=0, repetitions=3)
+        fault_free = {}
+
+        def run(name, ber, seed=0, **kwargs):
+            return common.run_fault_campaign(
+                Campaign(name, 3, seed=seed), trial, ber, fault_free,
+                execution=execution, **kwargs,
+            )
+
+        first = run("sa0-ber0", 0.0)
+        assert run("sa1-ber0", 0.0) is first
+        assert first.executed_trials == 3 and len(calls) == 3
+        # Another key or seed is another computation; a faulty one always runs.
+        assert run("sa0-ber0-long", 0.0, key=100) is not first
+        assert run("other-seed", 0.0, seed=1) is not first
+        assert len(calls) == 9
+        faulty = [run("sa0-ber0.01", 0.01), run("sa1-ber0.01", 0.01)]
+        assert faulty[0] is not faulty[1] and faulty[1].executed_trials == 3
+        assert len(calls) == 15
+
+    @pytest.mark.parametrize("driver", sorted(PERMANENT_SWEEPS))
+    def test_stuck_at_rows_share_the_fault_free_campaign(self, driver, tiny_tabular, tmp_path):
+        run = PERMANENT_SWEEPS[driver]
+        execution = ExecutionConfig(seed=3, repetitions=2, checkpoint_dir=tmp_path)
+        metrics = Metrics()
+        before = executed_trial_count()
+        with default_bus().subscribed(metrics.observe):
+            table = run(tiny_tabular, execution)
+        executed = executed_trial_count() - before
+        rows = {(row["fault_type"], row["bit_error_rate"]): row for row in table.rows}
+        assert len(rows) == 4
+        assert rows[("stuck-at-0", 0.0)] == {**rows[("stuck-at-1", 0.0)], "fault_type": "stuck-at-0"}
+        # One fault-free campaign and one per stuck value at BER 0.01.
+        assert executed == 3 * 2
+        assert metrics.summary_dict()["counters"]["trials.finished"] == executed
+
+        before = executed_trial_count()
+        resumed = run(tiny_tabular, execution.replace(resume=True))
+        assert executed_trial_count() - before == 0
+        assert resumed.to_json_dict() == table.to_json_dict()
+
+    def test_sweep_counts_only_executed_trials(self):
+        spec = SweepSpec.grid("fig2.permanent_sweep", {"fast": True}, approach=["tabular"])
+        metrics = Metrics()
+        with default_bus().subscribed(metrics.observe):
+            artifact = SweepRunner(cache="off").run(
+                spec, ExecutionConfig(seed=1, repetitions=1, scale="small")
+            )
+        table = artifact.points[0].artifact.result
+        bers = sorted(set(table.column("bit_error_rate")))
+        # Two stuck values per BER; the two BER-0 rows are one campaign.
+        assert len(table) == 2 * len(bers) and bers[0] == 0.0
+        assert artifact.executed_trials == 2 * len(bers) - 1
+        assert metrics.summary_dict()["counters"]["trials.finished"] == 2 * len(bers) - 1
+
+
 class TestDroneDrivers:
     def test_bundle_is_cached(self, fast_drone, drone_bundle):
         again = build_drone_bundle(fast_drone, seed=0)
@@ -264,8 +356,17 @@ class TestDroneDrivers:
         assert len(set(table.column("qformat"))) == 3
 
     def test_fig7a_training(self, fast_drone, drone_bundle):
+        before = executed_trial_count()
         table = fig7_drone.run_drone_training_faults(fast_drone, [0.0, 1e-2], repetitions=1)
         assert set(table.column("fault_type")) == {"transient", "stuck-at-0", "stuck-at-1"}
+        # The BER-0 campaigns run once per fault kind's seed: transient (one
+        # per injection episode) and stuck-at (one per stuck value) each
+        # share theirs.  At BER 0.01 all four run.
+        assert executed_trial_count() - before == 2 + 4
+        fault_free = [row for row in table.rows if row["bit_error_rate"] == 0.0]
+        transient = {row["mean_safe_flight"] for row in fault_free if row["fault_type"] == "transient"}
+        stuck = {row["mean_safe_flight"] for row in fault_free if row["fault_type"] != "transient"}
+        assert len(transient) == 1 and len(stuck) == 1
 
     def test_fig10b_drone(self, fast_drone, drone_bundle):
         table = fig10_anomaly.run_drone_anomaly_mitigation(fast_drone, [0.0, 1e-2], repetitions=1)

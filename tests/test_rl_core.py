@@ -144,6 +144,30 @@ class TestGreedyTieBreak:
             assert greedy_tie_break(row, np.random.default_rng(seed)) == expected
             assert helper_rng.bit_generator.state == reference_rng.bit_generator.state
 
+    @pytest.mark.parametrize("n_tied", [2, 3, 4])
+    @pytest.mark.parametrize("draws", [("random",), ("integers",), ("integers", "random"),
+                                       ("random", "integers", "integers")])
+    def test_matches_choice_after_earlier_draws(self, n_tied, draws):
+        # integers(4) leaves half of a 64-bit output in the bit generator's
+        # 32-bit buffer; the tie-break must consume it exactly as choice does.
+        row = [0.25] * n_tied + [-0.5] * (4 - n_tied)
+        for seed in range(100):
+            reference_rng = np.random.default_rng(seed)
+            helper_rng = np.random.default_rng(seed)
+            for draw in draws * 2:
+                for rng in (reference_rng, helper_rng):
+                    if draw == "random":
+                        rng.random()
+                    else:
+                        rng.integers(4)
+            assert helper_rng.bit_generator.state == reference_rng.bit_generator.state
+            expected = int(reference_rng.choice(np.flatnonzero(np.array(row) == 0.25)))
+            assert greedy_tie_break(row, helper_rng) == expected
+            assert helper_rng.bit_generator.state == reference_rng.bit_generator.state
+            # The generators stay in step afterwards, too.
+            assert helper_rng.integers(4) == reference_rng.integers(4)
+            assert helper_rng.random() == reference_rng.random()
+
     def test_single_element_choice_draws_nothing(self):
         for seed in range(200):
             rng = np.random.default_rng(seed)
