@@ -21,9 +21,9 @@ import pytest
 
 from bench_snapshot_lib import write_snapshot
 from repro.core import BatchedRunner, Campaign, SerialRunner
-from repro.experiments.common import train_grid_nn, train_tabular
-from repro.experiments.config import GridNNConfig, GridTabularConfig
-from repro.experiments.fig5_inference import _NNInferenceTrial, _TabularInferenceTrial
+from repro.experiments.common import train_grid_nn
+from repro.experiments.config import GridNNConfig
+from repro.experiments.fig5_inference import _NNInferenceTrial
 
 #: Batch size the acceptance guardrail is pinned at.
 BATCH_SIZE = 8
@@ -85,9 +85,3 @@ def test_batched_nn_fig5_not_slower_than_serial(mode):
     )
     _run_guardrail(trial, f"nn-{mode}")
 
-
-def test_batched_tabular_fig5_not_slower_than_serial():
-    config = GridTabularConfig.fast()
-    agent, env, _ = train_tabular(config, np.random.default_rng(0))
-    trial = _TabularInferenceTrial(agent, env, "transient-m", 0.01, config.max_steps, 5)
-    _run_guardrail(trial, "tabular-transient-m")

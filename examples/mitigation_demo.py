@@ -50,7 +50,7 @@ def inference_mitigation_demo() -> None:
     rng = np.random.default_rng(3)
     agent, eval_env, _ = train_grid_nn(config, rng)
 
-    calibration = np.stack([eval_env.one_hot(s) for s in range(eval_env.n_states)])
+    calibration = eval_env.one_hot(np.arange(eval_env.n_states))
     profile = QuantizedExecutor(agent.network, config.weight_qformat).profile_ranges(calibration)
 
     for mitigated in (False, True):

@@ -222,6 +222,14 @@ def grid_outcomes(
     return GridOutcomes(tuple(table), *arrays, start_states=start_states)
 
 
+@lru_cache(maxsize=None)
+def _one_hot_table(n_states: int) -> np.ndarray:
+    """The read-only ``(n_states, n_states)`` identity that one-hot rows come from."""
+    table = np.eye(n_states, dtype=np.float64)
+    table.flags.writeable = False
+    return table
+
+
 class GridWorld(Environment):
     """Episodic Grid World MDP.
 
@@ -266,6 +274,7 @@ class GridWorld(Environment):
         self._outcomes = grid_outcomes(
             layout, goal_reward, hell_reward, free_reward, bump_reward
         )
+        self._one_hot_rows = _one_hot_table(self.n_states)
         self._state = self.state_index(self._source)
 
     # ------------------------------------------------------------------ #
@@ -280,11 +289,14 @@ class GridWorld(Environment):
             raise ValueError(f"state {state} outside [0, {self.n_states})")
         return divmod(state, self.width)
 
-    def one_hot(self, state: int) -> np.ndarray:
-        """One-hot feature encoding used by the NN-based policy."""
-        encoded = np.zeros(self.n_states, dtype=np.float64)
-        encoded[state] = 1.0
-        return encoded
+    def one_hot(self, state) -> np.ndarray:
+        """One-hot feature encoding used by the NN-based policy.
+
+        ``state`` is one state index, giving an ``(n_states,)`` row, or an
+        array of them, giving one row per state.  Rows are gathered (copied)
+        from one cached identity table.
+        """
+        return np.take(self._one_hot_rows, state, axis=0)
 
     @property
     def goal_state(self) -> int:

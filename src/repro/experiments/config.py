@@ -111,8 +111,9 @@ class GridNNConfig:
     """Grid World NN-based Q-learning setup.
 
     Training uses exploring starts and a small step/bump penalty; both are
-    training-protocol aids needed for reliable convergence of the numpy DQN
-    (documented in DESIGN.md) and do not change the optimal navigation policy.
+    training-protocol aids for the numpy DQN's convergence (see
+    :class:`~repro.envs.gridworld.GridWorld`'s ``random_start`` and
+    ``bump_reward``) and do not change the optimal navigation policy.
     """
 
     density: str = "middle"

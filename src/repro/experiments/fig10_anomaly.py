@@ -78,7 +78,7 @@ def run_gridworld_anomaly_mitigation(
     agent, eval_env, _ = train_grid_nn(config, rng)
 
     # Profile layer ranges on the clean policy using every state's encoding.
-    calibration = np.stack([eval_env.one_hot(s) for s in range(eval_env.n_states)])
+    calibration = eval_env.one_hot(np.arange(eval_env.n_states))
     clean_executor = QuantizedExecutor(agent.network, config.weight_qformat)
     profile = clean_executor.profile_ranges(calibration)
 

@@ -12,20 +12,22 @@ Permanent stuck-at-0 / stuck-at-1 faults affect the whole episode as well.
 The clean policy is trained once per configuration and the injection is then
 repeated many times with independent fault sites.
 
-Both trial families implement the batched-execution protocol
-(``run_batch``): under a :class:`~repro.core.runner.BatchedRunner` each
-batch of B trials becomes B policy *replicas* evaluated simultaneously —
-fault patterns apply to stacked quantized buffers in one vectorized bit
-operation, Q-values come from one stacked forward pass per step, and the
-Grid World steps all replicas through vectorized integer math.  Every
-replica samples its faults from its own trial RNG in the scalar sampling
-order, so batched campaign outcomes are bit-identical to serial ones
-(enforced by ``tests/test_batched_parity.py``).
+The NN trial implements the batched-execution protocol (``run_batch``):
+under a :class:`~repro.core.runner.BatchedRunner` each batch of B trials
+becomes B policy *replicas* evaluated simultaneously — fault patterns apply
+to stacked quantized buffers in one vectorized bit operation, Q-values come
+from one stacked forward pass per step, and the Grid World steps all
+replicas through vectorized integer math.  Every replica samples its faults
+from its own trial RNG in the scalar sampling order, so batched campaign
+outcomes are bit-identical to serial ones (enforced by
+``tests/test_batched_parity.py``).  The tabular trial is scalar only; the
+batched runner runs it once per trial inside each batch (a replica-stacked
+Q table measured slower than that).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,7 +35,6 @@ from repro.api.execution import ExecutionConfig, resolve_execution
 from repro.core.campaign import Campaign, TrialOutcome
 from repro.core.evaluator import BatchedEvaluator
 from repro.core.fault_models import FaultModel, StuckAtFault, TransientBitFlip
-from repro.core.sites import apply_patterns_stacked
 from repro.experiments.common import (
     greedy_policy,
     run_campaign,
@@ -53,7 +54,7 @@ from repro.io.results import ResultTable
 from repro.nn.buffers import QuantizedExecutor
 from repro.rl.dqn import DQNAgent
 from repro.rl.evaluation import greedy_rollout, greedy_rollouts
-from repro.rl.tabular import TabularQAgent, greedy_tie_break
+from repro.rl.tabular import TabularQAgent
 
 __all__ = ["INFERENCE_FAULT_MODES", "run_inference_fault_sweep"]
 
@@ -118,14 +119,7 @@ def _tabular_episode(
 class _TabularInferenceTrial:
     """One Fig. 5 tabular campaign trial: N faulted inference episodes.
 
-    Scalar execution (``__call__``) runs :func:`_tabular_episode` once per
-    episode.  Batched execution (``run_batch``) evaluates the whole batch of
-    trials as policy replicas: the Q table is replicated into a stacked
-    buffer, all replicas' fault patterns apply in one vectorized bit
-    operation, the stacked table is decoded once per episode (instead of
-    once per step per trial), and the Grid World replicas step in lockstep.
-    Tie-breaking draws still come from each replica's own derived generator
-    in the scalar order, so both paths are bit-identical.
+    Runs :func:`_tabular_episode` once per episode.
     """
 
     def __init__(
@@ -150,58 +144,6 @@ class _TabularInferenceTrial:
             for _ in range(self.episodes_per_trial)
         ]
         return TrialOutcome(success=None, metric=float(np.mean(successes)))
-
-    def run_batch(self, rngs: Sequence[np.random.Generator]) -> List[TrialOutcome]:
-        successes: List[List[bool]] = [[] for _ in rngs]
-        for _ in range(self.episodes_per_trial):
-            for replica, ok in enumerate(self._episode_batch(rngs)):
-                successes[replica].append(ok)
-        return [
-            TrialOutcome(success=None, metric=float(np.mean(trial_successes)))
-            for trial_successes in successes
-        ]
-
-    def _episode_batch(self, rngs: Sequence[np.random.Generator]) -> List[bool]:
-        n = len(rngs)
-        table = self.agent.memory_buffers()["qtable"]
-        # Per-replica draw order matches the scalar episode: clone seed,
-        # fault-site sampling, then (for transient-1) the fault step.
-        working_rngs = [np.random.default_rng(rng.integers(2**63)) for rng in rngs]
-        stacked = table.replicate(n)
-        if self.mode in _MEMORY_FAULT_MODES:
-            model = _memory_fault_model(self.mode, self.ber)
-            patterns = [model.sample_pattern(table, rng) for rng in rngs]
-            apply_patterns_stacked(patterns, stacked)
-        fault_steps = [
-            int(rng.integers(self.max_steps)) if self.mode == "transient-1" else -1
-            for rng in rngs
-        ]
-        # Nested lists: the tie-break scans a row of Python floats far
-        # faster than a row of numpy scalars.
-        q_stack = (stacked.values / self.agent.value_scale).tolist()
-
-        def policy(step: int, indices: np.ndarray, states: List[object]) -> List[int]:
-            actions = []
-            for j, replica in enumerate(indices):
-                if step == fault_steps[replica] and self.ber > 0:
-                    actions.append(self._transient1_action(rngs[replica], states[j]))
-                else:
-                    actions.append(
-                        greedy_tie_break(q_stack[replica][states[j]], working_rngs[replica])
-                    )
-            return actions
-
-        rollouts = greedy_rollouts(policy, self.env.batched(n), max_steps=self.max_steps)
-        return [rollout.success for rollout in rollouts]
-
-    def _transient1_action(self, rng: np.random.Generator, state: int) -> int:
-        # Mirrors the scalar scratch-clone: seed draw, fresh clean table,
-        # transient injection, then a tie-broken greedy pick from the scratch
-        # generator.
-        scratch_rng = np.random.default_rng(rng.integers(2**63))
-        scratch = self.agent.memory_buffers()["qtable"].copy()
-        TransientBitFlip(self.ber).inject(scratch, rng)
-        return greedy_tie_break(scratch.values[state] / self.agent.value_scale, scratch_rng)
 
 
 # --------------------------------------------------------------------------- #
@@ -256,12 +198,15 @@ class _NNInferenceTrial:
 
     Scalar execution (``__call__``) runs :func:`_nn_episode` per episode
     through the scalar :class:`~repro.nn.buffers.QuantizedExecutor`.
-    Batched execution (``run_batch``) builds a
-    :class:`~repro.core.evaluator.BatchedEvaluator` per episode: all trials'
-    weight-fault patterns apply to stacked quantized buffers in one
-    vectorized bit operation, and every environment step evaluates all still
-    -running replicas through a single stacked forward pass.  Both paths are
-    bit-identical for the same trial RNGs.
+    Batched execution (``run_batch``) runs every episode on one
+    :class:`~repro.core.evaluator.BatchedEvaluator` per batch, restored to
+    its clean weights before each injection: all trials' weight-fault
+    patterns apply to stacked quantized buffers in one vectorized bit
+    operation, and every environment step encodes the still-running
+    replicas' states in one encoder call and evaluates them through a
+    single stacked forward pass.  Transient-1 decisions reuse one
+    1-replica evaluator the same way.  Both paths are bit-identical for the
+    same trial RNGs.
     """
 
     def __init__(
@@ -292,19 +237,28 @@ class _NNInferenceTrial:
         return TrialOutcome(success=None, metric=float(np.mean(successes)))
 
     def run_batch(self, rngs: Sequence[np.random.Generator]) -> List[TrialOutcome]:
+        network = self.agent.network
+        evaluator = BatchedEvaluator(network, self.qformat, len(rngs))
+        transient1 = None
+        if self.mode == "transient-1" and self.ber > 0:
+            transient1 = BatchedEvaluator(network, self.qformat, 1)
         successes: List[List[bool]] = [[] for _ in rngs]
         for _ in range(self.episodes_per_trial):
-            for replica, ok in enumerate(self._episode_batch(rngs)):
+            for replica, ok in enumerate(self._episode_batch(evaluator, transient1, rngs)):
                 successes[replica].append(ok)
         return [
             TrialOutcome(success=None, metric=float(np.mean(trial_successes)))
             for trial_successes in successes
         ]
 
-    def _episode_batch(self, rngs: Sequence[np.random.Generator]) -> List[bool]:
-        n = len(rngs)
-        evaluator = BatchedEvaluator(self.agent.network, self.qformat, n)
+    def _episode_batch(
+        self,
+        evaluator: BatchedEvaluator,
+        transient1: Optional[BatchedEvaluator],
+        rngs: Sequence[np.random.Generator],
+    ) -> List[bool]:
         if self.mode in _MEMORY_FAULT_MODES and self.ber > 0:
+            evaluator.restore_clean_weights()
             evaluator.inject_weight_faults(
                 _memory_fault_model(self.mode, self.ber), rngs
             )
@@ -315,25 +269,29 @@ class _NNInferenceTrial:
         encoder = self.agent.state_encoder
 
         def policy(step: int, indices: np.ndarray, states: List[object]) -> List[int]:
-            encoded = np.stack([encoder(state) for state in states])[:, None, :]
+            encoded = encoder(np.asarray(states))[:, None]
             greedy = evaluator.greedy_actions(encoded, replicas=indices)
             actions = [int(action) for action in greedy]
-            if self.ber > 0:
+            if transient1 is not None:
                 for j, replica in enumerate(indices):
                     if step == fault_steps[replica]:
-                        actions[j] = self._transient1_action(rngs[replica], states[j])
+                        actions[j] = self._transient1_action(
+                            transient1, rngs[replica], encoded[j]
+                        )
             return actions
 
-        rollouts = greedy_rollouts(policy, self.env.batched(n), max_steps=self.max_steps)
+        rollouts = greedy_rollouts(policy, self.env.batched(len(rngs)), max_steps=self.max_steps)
         return [rollout.success for rollout in rollouts]
 
-    def _transient1_action(self, rng: np.random.Generator, state: object) -> int:
-        # One-replica faulted evaluator, sampled from the trial generator in
+    def _transient1_action(
+        self, evaluator: BatchedEvaluator, rng: np.random.Generator, encoded: np.ndarray
+    ) -> int:
+        # A clean 1-replica evaluator faulted from the trial generator in
         # the scalar buffer order — the batched analogue of the scalar
         # "faulty executor for a single decision step".
-        evaluator = BatchedEvaluator(self.agent.network, self.qformat, 1)
+        evaluator.restore_clean_weights()
         evaluator.inject_weight_faults(TransientBitFlip(self.ber), [rng])
-        q = evaluator.forward(self.agent.state_encoder(state)[None][None])
+        q = evaluator.forward(encoded[None])
         return int(np.argmax(q[0]))
 
 

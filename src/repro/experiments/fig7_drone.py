@@ -145,7 +145,7 @@ class _DroneMSFTrial:
         # and rebuilding the stacked evaluator (re-encoding every weight
         # buffer) and the environments each time is pure fixed overhead.
         # Reuse is exact: the evaluator is restored to its clean pre-fault
-        # state between batches and every rollout starts with reset_all().
+        # state after each batch and every rollout starts with reset_all().
         self._evaluators: Dict[int, BatchedEvaluator] = {}
         self._envs: Dict[int, BatchedEnv] = {}
 
@@ -180,10 +180,21 @@ class _DroneMSFTrial:
                 self.bundle.network, self.qformat or config.qformat, n
             )
             self._evaluators[n] = evaluator
-        else:
+        try:
+            msfs = self._batched_msfs(evaluator, rngs)
+        finally:
+            # Leave the cached evaluator clean: its faulted stacks (and the
+            # replica-subset stacks its forwards kept) are not held past
+            # the batch.
             evaluator.restore_clean_weights()
             evaluator.executor.input_hooks.clear()
             evaluator.executor.activation_hooks.clear()
+        return [TrialOutcome(metric=msf) for msf in msfs]
+
+    def _batched_msfs(
+        self, evaluator: BatchedEvaluator, rngs: Sequence[np.random.Generator]
+    ) -> List[float]:
+        config = self.bundle.config
         if self.weight_fault is not None and self.weight_fault.bit_error_rate > 0:
             # The scalar path's inject_weight_faults defaults to
             # all_weights(); the evaluator's default selector matches
@@ -219,14 +230,13 @@ class _DroneMSFTrial:
             greedy = evaluator.greedy_actions(stacked, replicas=indices)
             return [int(action) for action in greedy]
 
-        msfs = evaluate_mean_metrics(
+        return evaluate_mean_metrics(
             policy,
-            self._batched_env(n),
+            self._batched_env(len(rngs)),
             "flight_distance",
             trials=config.eval_trials,
             max_steps=config.max_eval_steps,
         )
-        return [TrialOutcome(metric=msf) for msf in msfs]
 
     def _batched_env(self, n: int) -> BatchedEnv:
         env = self._envs.get(n)

@@ -346,6 +346,8 @@ class BatchedQuantizedExecutor:
             self.unit_buffers[buffer_name] = unit
             self.weight_buffers[buffer_name] = unit.replicate(n_replicas)
         self._param_stacks: Optional[Dict[str, Dict[str, np.ndarray]]] = None
+        #: The last replica subset's weight stacks, keyed by its indices.
+        self._subset: Optional[Tuple[np.ndarray, Dict[str, Dict[str, np.ndarray]]]] = None
 
     @property
     def faulted(self) -> bool:
@@ -365,6 +367,7 @@ class BatchedQuantizedExecutor:
             unit = self.unit_buffers[buffer_name]
             stacked.raw = np.broadcast_to(unit.raw, stacked.shape)
         self._param_stacks = None
+        self._subset = None
 
     # ------------------------------------------------------------------ #
     # Weight-side fault plumbing
@@ -389,6 +392,7 @@ class BatchedQuantizedExecutor:
             layer_name, local_name = param_name.split(".", 1)
             stacks.setdefault(layer_name, {})[local_name] = stacked.values
         self._param_stacks = stacks
+        self._subset = None
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -406,10 +410,17 @@ class BatchedQuantizedExecutor:
             and np.array_equal(replicas, np.arange(self.n_replicas))
         ):
             return self._param_stacks
-        return {
+        # Replicas drop out only as their episodes end, so consecutive steps
+        # usually evaluate the same subset: keep its gathered stacks.
+        if self._subset is not None and np.array_equal(replicas, self._subset[0]):
+            return self._subset[1]
+        self._subset = None
+        subset = {
             layer_name: {local: stack[replicas] for local, stack in locals_.items()}
             for layer_name, locals_ in self._param_stacks.items()
         }
+        self._subset = (replicas.copy(), subset)
+        return subset
 
     def forward(
         self, x: np.ndarray, replicas: Optional[np.ndarray] = None

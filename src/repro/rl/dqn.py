@@ -14,6 +14,7 @@ underlying values.
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
@@ -25,8 +26,9 @@ from repro.nn.optim import Adam, Optimizer
 from repro.quant.qformat import QFormat, Q16_NARROW
 from repro.quant.qtensor import QTensor
 from repro.rl.base import Agent, Transition
-from repro.rl.replay import ReplayBuffer
+from repro.rl.replay import ReplayBatch, ReplayBuffer
 from repro.rl.schedules import ConstantSchedule, DecayingEpsilonGreedy
+from repro.rl.tabular import greedy_tie_break
 
 __all__ = ["DQNAgent", "DoubleDQNAgent"]
 
@@ -42,7 +44,9 @@ class DQNAgent(Agent):
     network:
         Online Q-network mapping encoded states to per-action Q-values.
     state_encoder:
-        Maps an environment state to the network's input array (no batch dim).
+        Maps an environment state to the network's input array (no batch
+        dim), and an array of states to those inputs stacked on a leading
+        axis; replay batches are encoded with one call.
     n_actions:
         Size of the discrete action space (must match the network output).
     gamma, learning_rate:
@@ -93,27 +97,21 @@ class DQNAgent(Agent):
         self.optimizer: Optimizer = Adam(
             network, learning_rate=learning_rate, frozen=frozen_prefixes
         )
-        self._target_state = network.state_dict()
+        #: Target network: a copy of the online network whose parameters are
+        #: refreshed every ``target_update_every`` steps.
+        self._target_network = copy.deepcopy(network)
         self._steps = 0
         self._buffer_set: Optional[BufferSet] = None
 
     # ------------------------------------------------------------------ #
     # Value access
     # ------------------------------------------------------------------ #
-    def _encode_batch(self, states: List[object]) -> np.ndarray:
-        return np.stack([self.state_encoder(s) for s in states])
-
     def q_values(self, state: object) -> np.ndarray:
         encoded = self.state_encoder(state)[None, ...]
         return self.network.forward(encoded)[0]
 
-    def _target_q_values(self, states: np.ndarray) -> np.ndarray:
-        snapshot = self.network.state_dict()
-        self.network.load_state_dict(self._target_state)
-        try:
-            return self.network.forward(states)
-        finally:
-            self.network.load_state_dict(snapshot)
+    def _refresh_target(self) -> None:
+        self._target_network.load_named_params(self.network.named_params())
 
     # ------------------------------------------------------------------ #
     # Acting
@@ -121,9 +119,7 @@ class DQNAgent(Agent):
     def select_action(self, state: object, explore: bool = True) -> int:
         if explore and self.rng.random() < self.schedule.epsilon:
             return int(self.rng.integers(self.n_actions))
-        q = self.q_values(state)
-        best = np.flatnonzero(q == q.max())
-        return int(self.rng.choice(best))
+        return greedy_tie_break(self.q_values(state).tolist(), self.rng)
 
     # ------------------------------------------------------------------ #
     # Learning
@@ -136,31 +132,25 @@ class DQNAgent(Agent):
         if self._steps % self.train_every == 0:
             self._train_step()
         if self._steps % self.target_update_every == 0:
-            self._target_state = self.network.state_dict()
+            self._refresh_target()
 
-    def _compute_targets(self, batch: List[Transition]) -> np.ndarray:
+    def _bootstrap(self, batch: ReplayBatch, next_q: np.ndarray) -> np.ndarray:
+        """``r`` for terminal rows, else ``r + gamma * next_q``."""
+        return np.where(batch.dones, batch.rewards, batch.rewards + self.gamma * next_q)
+
+    def _compute_targets(self, batch: ReplayBatch) -> np.ndarray:
         """Standard DQN targets: ``r + gamma * max_a Q_target(s', a)``."""
-        next_states = self._encode_batch([t.next_state for t in batch])
-        next_q = self._target_q_values(next_states)
-        targets = np.array(
-            [
-                t.reward
-                if t.done
-                else t.reward + self.gamma * float(next_q[i].max())
-                for i, t in enumerate(batch)
-            ]
-        )
-        return targets
+        next_states = self.state_encoder(batch.next_states)
+        return self._bootstrap(batch, self._target_network.forward(next_states).max(axis=1))
 
     def _train_step(self) -> float:
         batch = self.replay.sample(self.batch_size)
-        states = self._encode_batch([t.state for t in batch])
-        actions = np.array([t.action for t in batch], dtype=np.int64)
+        states = self.state_encoder(batch.states)
         targets = self._compute_targets(batch)
 
         predictions = self.network.forward(states, training=True)
         target_matrix = predictions.copy()
-        target_matrix[np.arange(len(batch)), actions] = targets
+        target_matrix[np.arange(len(batch)), batch.actions] = targets
         loss, grad = huber_loss(predictions, target_matrix)
         self.network.backward(grad)
         self.optimizer.step()
@@ -202,7 +192,7 @@ class DQNAgent(Agent):
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         self.network.load_state_dict(state)
-        self._target_state = self.network.state_dict()
+        self._refresh_target()
 
 
 class DoubleDQNAgent(DQNAgent):
@@ -212,17 +202,8 @@ class DoubleDQNAgent(DQNAgent):
     before transfer-learning fine-tuning (Sec. 4.2.1).
     """
 
-    def _compute_targets(self, batch: List[Transition]) -> np.ndarray:
-        next_states = self._encode_batch([t.next_state for t in batch])
-        online_next = self.network.forward(next_states)
-        best_actions = online_next.argmax(axis=1)
-        target_next = self._target_q_values(next_states)
-        targets = np.array(
-            [
-                t.reward
-                if t.done
-                else t.reward + self.gamma * float(target_next[i, best_actions[i]])
-                for i, t in enumerate(batch)
-            ]
-        )
-        return targets
+    def _compute_targets(self, batch: ReplayBatch) -> np.ndarray:
+        next_states = self.state_encoder(batch.next_states)
+        best_actions = self.network.forward(next_states).argmax(axis=1)
+        target_next = self._target_network.forward(next_states)
+        return self._bootstrap(batch, target_next[np.arange(len(batch)), best_actions])

@@ -188,6 +188,28 @@ class TestStackedInjectionParity:
         for j, r in enumerate(subset):
             assert np.array_equal(out[j], full[r])
 
+    def test_repeated_subset_follows_reinjection(self, rng):
+        # The gathered stacks of a repeated subset are kept between
+        # forwards; re-injecting or restoring must drop them.
+        net = build_grid_q_network(15, 3, hidden_sizes=(8,), rng=rng)
+        replicas = 5
+        evaluator = BatchedEvaluator(net, Q16_NARROW, replicas)
+        x = np.stack([np.eye(15)[r][None] for r in range(replicas)])
+        subset = np.array([0, 3])
+        for seed in range(3):
+            evaluator.restore_clean_weights()
+            evaluator.inject_weight_faults(
+                StuckAtFault(0.2, stuck_value=1),
+                [np.random.default_rng(10 * seed + r) for r in range(replicas)],
+            )
+            full = evaluator.forward(x)
+            for _ in range(2):
+                out = evaluator.forward(x[subset], replicas=subset)
+                assert np.array_equal(out, full[subset])
+        evaluator.restore_clean_weights()
+        clean = BatchedEvaluator(net, Q16_NARROW, replicas).forward(x)
+        assert np.array_equal(evaluator.forward(x[subset], replicas=subset), clean[subset])
+
 
 # --------------------------------------------------------------------------- #
 # Batched greedy evaluation
@@ -241,16 +263,20 @@ class TestFig5TrialParity:
     @pytest.mark.parametrize("mode", INFERENCE_FAULT_MODES)
     @pytest.mark.parametrize("ber", [0.0, 0.01])
     def test_tabular_run_batch_equals_scalar(self, tabular_agent_env, mode, ber):
+        # The tabular trial is scalar only: the batched engine runs it once
+        # per trial inside each batch, which must equal the serial engine.
         config, agent, env = tabular_agent_env
         trial = _TabularInferenceTrial(agent, env, mode, ber, config.max_steps, 2)
-        seeds = _trial_seeds(5)
-        scalar = [trial(np.random.default_rng(seed)) for seed in seeds]
-        batched = trial.run_batch([np.random.default_rng(seed) for seed in seeds])
-        assert batched == scalar
+        campaign = Campaign(f"parity-fig5-tabular-{mode}", repetitions=5, seed=99)
+        serial = campaign.run(trial, runner=SerialRunner())
+        batched = campaign.run(trial, runner=BatchedRunner(batch_size=3))
+        assert batched.outcomes == serial.outcomes
 
-    def test_run_batch_of_one_equals_scalar(self, tabular_agent_env):
-        config, agent, env = tabular_agent_env
-        trial = _TabularInferenceTrial(agent, env, "transient-m", 0.02, config.max_steps, 2)
+    def test_run_batch_of_one_equals_scalar(self, nn_agent_env):
+        config, agent, env = nn_agent_env
+        trial = _NNInferenceTrial(
+            agent, env, "transient-1", 0.02, config.max_steps, config.weight_qformat, 2
+        )
         (seed,) = _trial_seeds(1)
         assert trial.run_batch([np.random.default_rng(seed)]) == [
             trial(np.random.default_rng(seed))

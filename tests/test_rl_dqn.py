@@ -6,6 +6,7 @@ import pytest
 from repro.envs import make_gridworld
 from repro.policies import build_grid_q_network
 from repro.rl import ConstantSchedule, DQNAgent, DoubleDQNAgent, Transition
+from repro.rl.replay import ReplayBatch
 from repro.rl.imitation import behaviour_clone
 from repro.nn import Dense, ReLU, Sequential
 from repro.quant import Q16_NARROW
@@ -26,6 +27,11 @@ def make_agent(rng, cls=DQNAgent, **kwargs):
     defaults.update(kwargs)
     agent = cls(net, env.one_hot, env.n_actions, **defaults)
     return agent, env
+
+
+def as_batch(transitions):
+    """A replay batch holding ``transitions`` in order."""
+    return ReplayBatch(*(np.array(column) for column in zip(*transitions)))
 
 
 class TestDQNAgent:
@@ -59,10 +65,18 @@ class TestDQNAgent:
     def test_target_network_update(self, rng):
         agent, env = make_agent(rng, target_update_every=10)
         state = env.reset()
-        for _ in range(12):
+        for _ in range(10):
             agent.observe(Transition(state, 0, 1.0, state, False))
-        # Target refreshed at step 10 -> equal to the online network then.
-        assert set(agent._target_state) == set(agent.network.state_dict())
+        at_refresh = agent.network.state_dict()
+        for _ in range(2):
+            agent.observe(Transition(state, 0, 1.0, state, False))
+        # Target refreshed at step 10 -> equal to the online network then,
+        # and left alone by the two training steps after it.
+        target = agent._target_network.state_dict()
+        assert set(target) == set(at_refresh)
+        assert all(np.array_equal(target[key], at_refresh[key]) for key in target)
+        online = agent.network.state_dict()
+        assert any(not np.array_equal(target[key], online[key]) for key in target)
 
     def test_memory_buffers_and_reload(self, rng):
         agent, env = make_agent(rng)
@@ -100,14 +114,20 @@ class TestDQNAgent:
 class TestDoubleDQN:
     def test_targets_use_online_argmax(self, rng):
         agent, env = make_agent(rng, cls=DoubleDQNAgent)
-        batch = [Transition(env.reset(), 0, 1.0, env.reset(), False) for _ in range(4)]
-        targets = agent._compute_targets(batch)
+        transitions = [Transition(s, 0, 1.0, (s + 1) % 100, s == 3) for s in range(4)]
+        # Make the online and target networks disagree.
+        agent.network.named_params()["fc1.bias"][:] += 0.5
+        targets = agent._compute_targets(as_batch(transitions))
         assert targets.shape == (4,)
-        assert np.all(np.isfinite(targets))
+        for target, t in zip(targets, transitions):
+            encoded = env.one_hot(t.next_state)[None]
+            best = int(np.argmax(agent.network.forward(encoded)[0]))
+            bootstrap = agent._target_network.forward(encoded)[0, best]
+            assert target == (t.reward if t.done else t.reward + agent.gamma * bootstrap)
 
     def test_terminal_targets_equal_reward(self, rng):
         agent, env = make_agent(rng, cls=DoubleDQNAgent)
-        batch = [Transition(env.reset(), 0, 0.7, env.reset(), True)]
+        batch = as_batch([Transition(env.reset(), 0, 0.7, env.reset(), True)])
         targets = agent._compute_targets(batch)
         assert targets[0] == pytest.approx(0.7)
 
