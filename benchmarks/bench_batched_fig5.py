@@ -3,8 +3,9 @@
 The batched campaign engine exists to make inference campaigns faster; this
 module keeps that promise honest.  It times the same Fig. 5 campaign (clean
 policy trained once, timing covers campaign execution only) under
-``SerialRunner`` and ``BatchedRunner(batch_size=8)`` and **fails if the
-batched path is slower than serial** — while also asserting the two engines
+``CampaignRunner(batch_size=1, workers=1)`` and
+``CampaignRunner(batch_size=8, workers=1)`` and **fails if the batched path
+is slower than serial** — while also asserting the two engines
 produce bit-identical per-trial outcomes.
 
 Unlike the figure benchmarks this module needs no pytest-benchmark plugin,
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 from bench_snapshot_lib import write_snapshot
-from repro.core import BatchedRunner, Campaign, SerialRunner
+from repro.core import Campaign, CampaignRunner
 from repro.experiments.common import train_grid_nn
 from repro.experiments.config import GridNNConfig
 from repro.experiments.fig5_inference import _NNInferenceTrial
@@ -45,10 +46,10 @@ def _best_of(fn, rounds=3):
 
 def _run_guardrail(trial, label):
     campaign = Campaign(f"fig5-guardrail-{label}", repetitions=REPETITIONS, seed=3)
-    serial_time, serial = _best_of(lambda: campaign.run(trial, runner=SerialRunner()))
-    batched_time, batched = _best_of(
-        lambda: campaign.run(trial, runner=BatchedRunner(batch_size=BATCH_SIZE))
-    )
+    serial_runner = CampaignRunner(batch_size=1, workers=1)
+    batched_runner = CampaignRunner(batch_size=BATCH_SIZE, workers=1)
+    serial_time, serial = _best_of(lambda: campaign.run(trial, runner=serial_runner))
+    batched_time, batched = _best_of(lambda: campaign.run(trial, runner=batched_runner))
     assert [o.metric for o in batched.outcomes] == [o.metric for o in serial.outcomes], (
         f"{label}: batched outcomes diverged from serial — the engines must be "
         "bit-identical"

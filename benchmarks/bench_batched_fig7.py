@@ -4,7 +4,8 @@
 lockstep through replica-axis numpy ray casting, while the batched
 evaluator runs the B fault-injected policy replicas as one stacked forward
 pass.  This module times the same Fig. 7 MSF campaign with the native
-batched engine and under ``SerialRunner``, asserts both produce
+batched engine and under the serial engine
+(``CampaignRunner(batch_size=1, workers=1)``), asserts both produce
 bit-identical per-trial MSF values, and **fails if the native batch is less
 than 2x faster than serial** at the pinned batch size.
 
@@ -20,7 +21,7 @@ import time
 import pytest
 
 from bench_snapshot_lib import write_snapshot
-from repro.core import BatchedRunner, Campaign, SerialRunner
+from repro.core import Campaign, CampaignRunner
 from repro.core.fault_models import TransientBitFlip
 from repro.experiments.common import build_drone_bundle
 from repro.experiments.config import DroneConfig
@@ -34,7 +35,7 @@ BATCH_SIZE = 8
 REPETITIONS = 48
 
 #: Required end-to-end advantage of the native batched engine over
-#: ``SerialRunner`` at ``BATCH_SIZE`` — campaign wall-clock, not env-only.
+#: the serial engine at ``BATCH_SIZE`` — campaign wall-clock, not env-only.
 REQUIRED_SPEEDUP = 2.0
 
 ENV_NAME = "indoor-long"
@@ -73,11 +74,11 @@ def test_native_batch_at_least_2x_faster_than_serial(drone_bundle):
     )
     campaign = Campaign("fig7-guardrail", repetitions=REPETITIONS, seed=3)
 
-    batched = BatchedRunner(batch_size=BATCH_SIZE)
+    batched = CampaignRunner(batch_size=BATCH_SIZE, workers=1)
     campaign.run(native, runner=batched)  # warm caches before timing
     native_time, native_result = _best_of(lambda: campaign.run(native, runner=batched))
     serial_time, serial_result = _best_of(
-        lambda: campaign.run(native, runner=SerialRunner())
+        lambda: campaign.run(native, runner=CampaignRunner(batch_size=1, workers=1))
     )
 
     assert _metrics(native_result) == _metrics(serial_result), (
@@ -118,6 +119,8 @@ def test_faulty_campaign_identical_across_engines(drone_bundle):
         drone_bundle, ENV_NAME, weight_fault=TransientBitFlip(1e-3)
     )
     campaign = Campaign("fig7-guardrail-faulty", repetitions=REPETITIONS, seed=7)
-    native_result = campaign.run(native, runner=BatchedRunner(batch_size=BATCH_SIZE))
-    serial_result = campaign.run(native, runner=SerialRunner())
+    native_result = campaign.run(
+        native, runner=CampaignRunner(batch_size=BATCH_SIZE, workers=1)
+    )
+    serial_result = campaign.run(native, runner=CampaignRunner(batch_size=1, workers=1))
     assert _metrics(native_result) == _metrics(serial_result)

@@ -1,6 +1,6 @@
 """``batch_size x workers`` composition profile for the campaign engines.
 
-The engine knobs compose: ``BatchedRunner(batch_size=B, workers=W)`` shards
+The engine knobs compose: ``CampaignRunner(batch_size=B, workers=W)`` shards
 batches across W worker processes, each evaluating B replicas through the
 vectorized forward path.  This module profiles the small knob grid on the
 Fig. 5 and Fig. 7 campaigns, records every operating point (and the best
@@ -20,9 +20,8 @@ import numpy as np
 import pytest
 
 from bench_snapshot_lib import write_snapshot
-from repro.core import Campaign
+from repro.core import Campaign, CampaignRunner
 from repro.core.fault_models import TransientBitFlip
-from repro.core.runner import make_runner
 from repro.experiments.common import build_drone_bundle, train_grid_nn
 from repro.experiments.config import DroneConfig, GridNNConfig
 from repro.experiments.fig5_inference import _NNInferenceTrial
@@ -53,12 +52,12 @@ def _metrics(result):
 
 def _profile(name, trial):
     campaign = Campaign(f"composition-{name}", repetitions=REPETITIONS, seed=3)
-    campaign.run(trial, runner=make_runner(1, 1))  # warm caches before timing
+    campaign.run(trial, runner=CampaignRunner(batch_size=1, workers=1))  # warm caches
 
     times = {}
     reference_metrics = None
     for workers, batch_size in GRID:
-        runner = make_runner(workers, batch_size)
+        runner = CampaignRunner(batch_size=batch_size, workers=workers)
         elapsed, result = _best_of(lambda: campaign.run(trial, runner=runner))
         times[(workers, batch_size)] = elapsed
         if reference_metrics is None:

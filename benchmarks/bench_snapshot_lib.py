@@ -1,7 +1,7 @@
 """Machine-readable snapshots of guardrail benchmark results.
 
-The guardrail benchmarks (warm-cache sweep, batched engine, distributed
-sweep) assert *relative* promises — "not slower", "at least 2x" — but the
+The guardrail benchmarks (warm-cache sweep, batched engine, telemetry
+overhead) assert *relative* promises — "not slower", "at least 2x" — but the
 absolute numbers behind those assertions were previously printed and lost.
 ``write_snapshot`` persists them: each guardrail writes one
 ``BENCH_<name>.json`` file so perf trajectories can be tracked across

@@ -247,14 +247,15 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
         help="JSONL file recording completed sweep points; with --resume, "
         "points already recorded there are skipped",
     )
-    distributed = parser.add_argument_group("distributed execution")
-    distributed.add_argument(
+    pool = parser.add_argument_group("point parallelism")
+    pool.add_argument(
         "--sweep-workers",
         default=None,
         metavar="N",
-        help="shard the sweep's points across N worker processes pulling "
-        "from a shared work-stealing queue ('auto' = one per CPU); results "
-        "are bit-identical to the serial runner (default: "
+        help="run the sweep's points on N pool worker processes ('auto' = "
+        "one per CPU); results are bit-identical to --sweep-workers 1, and "
+        "a dead worker stops the sweep with an error naming its unfinished "
+        "points (resume with --sweep-checkpoint) (default: "
         "REPRO_SWEEP_WORKERS or 1)",
     )
 

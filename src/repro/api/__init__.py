@@ -254,21 +254,13 @@ def sweep(
     progress:
         Callback ``(points completed, total points)``.
     sweep_workers:
-        Point-level parallelism: shard the sweep's points across this many
-        worker processes pulling from a shared work-stealing queue
-        (:class:`~repro.sweep.DistributedSweepRunner`), with bit-identical
-        results.  ``None`` reads ``REPRO_SWEEP_WORKERS`` (default 1 =
-        serial in-process); ``"auto"`` = one worker per CPU.
+        Point-level parallelism: map the sweep's points over this many pool
+        worker processes (:class:`~repro.sweep.SweepRunner` ``workers``),
+        with bit-identical results.  ``None`` reads ``REPRO_SWEEP_WORKERS``
+        (default 1 = in-process); ``"auto"`` = one worker per CPU.
     """
     from repro.experiments.registry import ExperimentSpec
-    from repro.sweep import (
-        AdaptiveConfig,
-        DistributedSweepRunner,
-        SweepRunner,
-        SweepSpec,
-        default_sweep_workers,
-    )
-    from repro.core.runner import parse_worker_count
+    from repro.sweep import AdaptiveConfig, SweepRunner, SweepSpec
 
     if isinstance(experiment, SweepSpec):
         if axes is not None or params is not None or samples is not None:
@@ -302,17 +294,9 @@ def sweep(
     elif repetitions is not None:
         execution = (execution or ExecutionConfig()).replace(repetitions=repetitions)
 
-    if sweep_workers is None:
-        n_sweep_workers = default_sweep_workers()
-    else:
-        n_sweep_workers = parse_worker_count(sweep_workers, "sweep_workers")
-    if n_sweep_workers > 1:
-        runner: Any = DistributedSweepRunner(
-            sweep_workers=n_sweep_workers, cache=cache, store=store,
-            progress=progress,
-        )
-    else:
-        runner = SweepRunner(cache=cache, store=store, progress=progress)
+    runner = SweepRunner(
+        cache=cache, store=store, progress=progress, workers=sweep_workers
+    )
     with _telemetry_collector() as collector:
         artifact = runner.run(
             sweep_spec, execution, adaptive=adaptive, checkpoint=checkpoint, resume=resume

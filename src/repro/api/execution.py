@@ -32,12 +32,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from repro.core.envvars import parse_positive_int
-from repro.core.runner import (
-    CampaignRunner,
-    default_batch_size,
-    default_workers,
-    make_runner,
-)
+from repro.core.runner import CampaignRunner, default_batch_size, default_workers
 
 __all__ = ["ExecutionConfig", "resolve_execution"]
 
@@ -149,9 +144,9 @@ class ExecutionConfig:
             return self.repetitions
         return parse_positive_int(config_default, "config repetitions")
 
-    def make_runner(self) -> CampaignRunner:
+    def campaign_runner(self) -> CampaignRunner:
         """Build the campaign engine these knobs describe."""
-        return make_runner(self.workers, self.batch_size)
+        return CampaignRunner(batch_size=self.batch_size, workers=self.workers)
 
     def engine_description(self) -> str:
         """Human-readable engine summary, e.g. ``"batched(8) x 4 workers"``."""

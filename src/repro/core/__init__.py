@@ -12,9 +12,9 @@ inference:
   memory buffers and accelerator buffers, plus training-loop hooks.
 * :mod:`repro.core.campaign` — repetition / statistics machinery for
   large-scale fault-injection campaigns.
-* :mod:`repro.core.runner` — serial, multiprocess and batched-vectorized
-  campaign execution engines with chunked scheduling and checkpoint
-  streaming.
+* :mod:`repro.core.runner` — the campaign engine: in-process or on a
+  process pool, scalar or batched-vectorized, streaming results to
+  checkpoints as they complete.
 * :mod:`repro.core.evaluator` — batched evaluation of B fault-injected
   policy replicas through stacked quantized buffers.
 * :mod:`repro.core.mitigation` — the two mitigation techniques of Sec. 5.
@@ -37,15 +37,11 @@ from repro.core.injector import (
 )
 from repro.core.campaign import Campaign, CampaignResult, TrialOutcome
 from repro.core.runner import (
-    BatchedRunner,
     CampaignRunner,
-    ParallelRunner,
-    SerialRunner,
     TrialExecutionError,
     default_batch_size,
     default_workers,
     executed_trial_count,
-    make_runner,
     supports_batching,
 )
 from repro.core.evaluator import BatchedEvaluator
@@ -68,14 +64,10 @@ __all__ = [
     "CampaignResult",
     "TrialOutcome",
     "CampaignRunner",
-    "SerialRunner",
-    "ParallelRunner",
-    "BatchedRunner",
     "BatchedEvaluator",
     "TrialExecutionError",
     "default_workers",
     "default_batch_size",
     "executed_trial_count",
     "supports_batching",
-    "make_runner",
 ]

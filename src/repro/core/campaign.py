@@ -8,16 +8,14 @@ margin; the repetition count here is configurable (and can be overridden
 globally through the ``REPRO_CAMPAIGN_REPS`` environment variable so the
 benchmark harness can trade accuracy for runtime).
 
-Execution is delegated to a :class:`~repro.core.runner.CampaignRunner`:
-the default :class:`~repro.core.runner.SerialRunner` preserves the original
-in-process behaviour, :class:`~repro.core.runner.ParallelRunner` (selected
-explicitly or through ``REPRO_CAMPAIGN_WORKERS``) fans trials out over a
-process pool, and :class:`~repro.core.runner.BatchedRunner` (selected
-explicitly or through ``REPRO_CAMPAIGN_BATCH``) evaluates batches of trials
-through one vectorized pass when the trial function implements
-``run_batch``.  Each trial's RNG is spawned from the campaign seed by
-trial index (``SeedSequence.spawn``), so outcomes are bit-identical across
-engines, worker counts and batch sizes.  Passing a
+Execution is delegated to a :class:`~repro.core.runner.CampaignRunner`,
+whose two knobs (explicit, or through ``REPRO_CAMPAIGN_WORKERS`` /
+``REPRO_CAMPAIGN_BATCH``) fan trials out over a process pool and evaluate
+batches of trials through one vectorized pass when the trial function
+implements ``run_batch``; by default every trial runs in-process, in index
+order.  Each trial's RNG is spawned from the campaign seed by trial index
+(``SeedSequence.spawn``), so outcomes are bit-identical across worker
+counts and batch sizes.  Passing a
 :class:`~repro.io.results.CampaignCheckpoint` to :meth:`Campaign.run`
 streams outcomes to a JSONL file as they complete, and ``resume=True``
 restarts an interrupted campaign from the trials already on disk.
@@ -192,9 +190,10 @@ class Campaign:
         Parameters
         ----------
         runner:
-            Execution engine; ``None`` resolves through
-            :func:`repro.core.runner.make_runner` (serial unless
-            ``REPRO_CAMPAIGN_WORKERS`` requests a pool).
+            Execution engine; ``None`` builds a
+            :class:`~repro.core.runner.CampaignRunner` from the environment
+            (in-process and scalar unless ``REPRO_CAMPAIGN_WORKERS`` /
+            ``REPRO_CAMPAIGN_BATCH`` ask otherwise).
         progress:
             Called with ``(completed, total)`` after every finished trial,
             counting trials restored from a checkpoint as already completed.
@@ -206,10 +205,10 @@ class Campaign:
             campaign, only the missing trials are executed.  When false any
             existing checkpoint file is overwritten.
         """
-        from repro.core.runner import make_runner
+        from repro.core.runner import CampaignRunner
 
         if runner is None:
-            runner = make_runner()
+            runner = CampaignRunner()
         checkpoint = _coerce_checkpoint(checkpoint)
         if resume and checkpoint is None:
             raise ValueError(

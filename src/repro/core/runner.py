@@ -1,58 +1,63 @@
-"""Campaign execution engines (serial, multiprocess, batched-vectorized).
+"""Campaign execution: one engine for serial, pooled and batched trials.
 
 A :class:`CampaignRunner` executes the independently seeded trials of a
-:class:`~repro.core.campaign.Campaign`.  Three engines are provided:
+:class:`~repro.core.campaign.Campaign` under two knobs:
 
-* :class:`SerialRunner` — runs trials in-process, in index order (the
-  original ``Campaign.run`` behaviour and the default).
-* :class:`ParallelRunner` — fans trials out over a ``multiprocessing`` pool.
-  Every trial draws its RNG from its *own* ``SeedSequence`` child, spawned
-  from the campaign seed by trial index, so the outcomes are bit-identical
-  to a serial run regardless of worker count or completion order.
-* :class:`BatchedRunner` — groups trials into fixed-size batches and, when
-  the trial function exposes a vectorized ``run_batch(rngs)`` implementation
-  (see :func:`supports_batching`), evaluates the whole batch through one set
-  of stacked numpy operations.  Trial functions without ``run_batch`` fall
-  back to scalar execution inside each batch, so the engine is always safe
-  to select.  Batching composes with multiprocessing: ``workers > 1`` fans
-  the batches out over a pool, with each worker running vectorized batches.
+* ``batch_size`` — trials are grouped into consecutive batches of this
+  size.  A trial function that exposes a vectorized ``run_batch(rngs)``
+  (see :func:`supports_batching`) evaluates each batch through one set of
+  stacked numpy operations; plain trial functions run scalar inside each
+  batch.  With ``batch_size=1`` every trial runs through its scalar path.
+* ``workers`` — ``1`` runs every trial in the calling process.  ``> 1``
+  fans the work out over a :class:`concurrent.futures.ProcessPoolExecutor`
+  (whole batches, or chunks of trials when ``batch_size=1``) and streams
+  the results back as they complete.  A run with a single unit of work
+  needs no pool and stays in-process.
 
-Trials are scheduled in chunks to amortize inter-process messaging, results
-are streamed back through an ``on_result`` callback (which is how campaign
-checkpoints are written incrementally), and a trial that raises inside a
-worker surfaces in the parent as :class:`TrialExecutionError` carrying the
-trial index and the worker traceback.
+``None`` resolves each knob through ``REPRO_CAMPAIGN_BATCH`` /
+``REPRO_CAMPAIGN_WORKERS`` (both default to 1; ``"auto"`` workers means
+one per CPU).  The engine name stamped on trial telemetry derives from the
+knobs: ``batched`` when ``batch_size > 1``, else ``parallel`` when
+``workers > 1``, else ``serial``.
 
-The default worker count is read from the ``REPRO_CAMPAIGN_WORKERS``
-environment variable (``"auto"`` means one worker per CPU) and the default
-batch size from ``REPRO_CAMPAIGN_BATCH``, mirroring how
-``REPRO_CAMPAIGN_REPS`` controls repetition counts.  All engines are
-bit-identical for the same campaign seed: per-trial ``SeedSequence``
-children make every trial a pure function of its own RNG, and the batched
-numpy paths reproduce the scalar paths' floating-point operations exactly.
+Every trial draws its RNG from its *own* ``SeedSequence`` child, spawned
+from the campaign seed by trial index, and batchable trial functions
+reproduce the scalar path's floating-point operations exactly, so outcomes
+are bit-identical for any batch size, worker count and completion order.
+Results reach the ``on_result`` callback as they complete, which is how
+campaign checkpoints are written incrementally.
+
+**Failures.**  In-process, a raising trial propagates unchanged.  In a
+pool, it surfaces as :class:`TrialExecutionError` carrying the trial index
+and the worker traceback.  A worker process that dies (killed, out of
+memory, crashed) breaks the pool: the run ends at once with one
+:class:`TrialExecutionError` naming every trial that did not complete,
+after a ``worker.lost`` telemetry event.  Trials that completed before the
+death have already reached ``on_result``, and so the checkpoint, so
+``resume=True`` finishes the campaign.  Sweep points mapped over the same
+pool (:class:`~repro.sweep.SweepRunner` with ``workers > 1``) follow the
+same contract with a :class:`~repro.sweep.SweepExecutionError`.  A dead
+worker never hangs a run.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
-import os
 import sys
 import time
 import traceback
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.envvars import env_positive_int, parse_positive_int
 from repro.telemetry.bus import current_campaign, default_bus, reset_default_bus
-from repro.telemetry.events import TrialFinished, TrialStarted
+from repro.telemetry.events import TrialFinished, TrialStarted, WorkerLost
 
 __all__ = [
     "TrialExecutionError",
     "CampaignRunner",
-    "SerialRunner",
-    "ParallelRunner",
-    "BatchedRunner",
     "supports_batching",
     "default_workers",
     "default_batch_size",
@@ -60,7 +65,7 @@ __all__ = [
     "record_executed_trials",
     "parse_worker_count",
     "parse_batch_size",
-    "make_runner",
+    "map_on_pool",
     "WORKERS_ENV_VAR",
     "BATCH_ENV_VAR",
 ]
@@ -98,36 +103,10 @@ def default_batch_size() -> int:
     return env_positive_int(BATCH_ENV_VAR, 1)
 
 
-def make_runner(
-    workers: Optional[int] = None, batch_size: Optional[int] = None
-) -> "CampaignRunner":
-    """Build a runner from the worker-count and batch-size knobs.
-
-    ``None`` resolves each knob through its environment variable
-    (``REPRO_CAMPAIGN_WORKERS`` / ``REPRO_CAMPAIGN_BATCH``, both defaulting
-    to 1).  ``batch_size > 1`` selects :class:`BatchedRunner` (which itself
-    composes with ``workers``); otherwise ``workers`` picks between
-    :class:`SerialRunner` and :class:`ParallelRunner`.
-    """
-    if workers is None:
-        workers = default_workers()
-    if workers <= 0:
-        raise ValueError(f"workers must be positive, got {workers}")
-    if batch_size is None:
-        batch_size = default_batch_size()
-    if batch_size <= 0:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
-    if batch_size > 1:
-        return BatchedRunner(batch_size=batch_size, workers=workers)
-    if workers == 1:
-        return SerialRunner()
-    return ParallelRunner(workers=workers)
-
-
 class _ExecutionStats:
     """Process-wide count of campaign trials actually *executed*.
 
-    Every engine bumps the counter (in the parent process) once per freshly
+    The engine bumps the counter (in the parent process) once per freshly
     computed trial outcome; trials restored from a checkpoint or served from
     the artifact store never touch it.  That makes warm-cache guarantees
     testable: the sweep cache guardrail measures the counter delta around a
@@ -161,13 +140,12 @@ def executed_trial_count() -> int:
 def record_executed_trials(n: int) -> None:
     """Fold externally executed trials into this process's counter.
 
-    The campaign engines bump the counter themselves, but they can only see
-    trials executed in *this* process (or its campaign pools).  The
-    distributed sweep runner executes whole points in worker processes and
-    ships each point's executed-trial count back in its result record; the
-    coordinator folds those counts in here so ``executed_trial_count()``
-    deltas — which the warm-cache guardrails are built on — stay truthful
-    regardless of where the trials physically ran.
+    The campaign engine bumps the counter itself, but a pooled sweep runs
+    whole points in worker processes, whose counters the parent never sees.
+    Each point ships its executed-trial count back with its result and the
+    parent folds it in here, so ``executed_trial_count()`` deltas — which
+    the warm-cache guardrails are built on — stay truthful regardless of
+    where the trials physically ran.
     """
     if n < 0:
         raise ValueError(f"executed trial count must be >= 0, got {n}")
@@ -188,12 +166,31 @@ def supports_batching(trial_fn) -> bool:
 
 
 class TrialExecutionError(RuntimeError):
-    """A campaign trial raised; carries the trial index and worker traceback."""
+    """A trial raised in a pool worker, or a pool worker process died.
 
-    def __init__(self, trial_index: int, message: str, worker_traceback: str = "") -> None:
-        super().__init__(f"trial {trial_index} failed: {message}")
-        self.trial_index = trial_index
+    ``trial_indices`` names every trial the failure left without an outcome:
+    the one that raised, or every unfinished trial of a broken pool.
+    ``trial_index`` is the first of them; ``worker_traceback`` is the
+    worker's traceback when a trial raised.
+    """
+
+    def __init__(
+        self,
+        trial_indices: Union[int, Iterable[int]],
+        message: str,
+        worker_traceback: str = "",
+    ) -> None:
+        if isinstance(trial_indices, int):
+            trial_indices = (trial_indices,)
+        self.trial_indices = tuple(sorted(trial_indices))
+        self.trial_index = self.trial_indices[0]
         self.worker_traceback = worker_traceback
+        label = (
+            f"trial {self.trial_index}"
+            if len(self.trial_indices) == 1
+            else f"trials {list(self.trial_indices)}"
+        )
+        super().__init__(f"{label} failed: {message}")
 
 
 def _validated(outcome, trial_index: int):
@@ -217,10 +214,10 @@ def _emit_trial_pair(
 ) -> None:
     """Emit the TrialStarted/TrialFinished pair for one completed trial.
 
-    Used by the pool-backed engines, where the parent only learns of a
-    trial when its result arrives: the pair is emitted back-to-back at
-    receipt time, with ``wall_time_s`` measured inside the worker.  Callers
-    must have checked ``bus.active`` already.
+    Used where a trial is only seen once its result exists (a batch, or a
+    pool worker's result): the pair is emitted back-to-back, with
+    ``wall_time_s`` measured where the trial ran.  Callers must have checked
+    ``bus.active`` already.
     """
     campaign = current_campaign()
     bus.emit(TrialStarted(campaign=campaign, trial=index, engine=engine))
@@ -235,158 +232,6 @@ def _emit_trial_pair(
             metric=outcome.metric,
         )
     )
-
-
-class CampaignRunner:
-    """Executes a batch of independently seeded campaign trials."""
-
-    #: Engine discriminator stamped onto trial telemetry events.
-    engine_name = ""
-
-    def run_trials(
-        self,
-        trial_fn,
-        tasks: Sequence[TrialTask],
-        on_result: Optional[ResultCallback] = None,
-    ) -> List[Tuple[int, "TrialOutcome"]]:
-        """Run every ``(index, seed)`` task; return ``(index, outcome)`` pairs.
-
-        The returned list is ordered by trial index.  ``on_result`` is called
-        once per trial in *completion* order (which for parallel engines may
-        differ from index order).
-        """
-        raise NotImplementedError
-
-
-class SerialRunner(CampaignRunner):
-    """Runs trials one after another in the calling process."""
-
-    engine_name = "serial"
-
-    def run_trials(
-        self,
-        trial_fn,
-        tasks: Sequence[TrialTask],
-        on_result: Optional[ResultCallback] = None,
-    ) -> List[Tuple[int, "TrialOutcome"]]:
-        bus = default_bus()
-        campaign = current_campaign() if bus.active else ""
-        results: List[Tuple[int, "TrialOutcome"]] = []
-        for index, seed in tasks:
-            # Latch the active state per trial so a subscriber attached or
-            # detached mid-trial can never produce an unpaired event.
-            active = bus.active
-            if active:
-                bus.emit(
-                    TrialStarted(campaign=campaign, trial=index, engine=self.engine_name)
-                )
-                started = time.perf_counter()
-            rng = np.random.default_rng(seed)
-            outcome = _validated(trial_fn(rng), index)
-            EXECUTION_STATS.record()
-            if active:
-                bus.emit(
-                    TrialFinished(
-                        campaign=campaign,
-                        trial=index,
-                        engine=self.engine_name,
-                        wall_time_s=time.perf_counter() - started,
-                        success=outcome.success,
-                        metric=outcome.metric,
-                    )
-                )
-            results.append((index, outcome))
-            if on_result is not None:
-                on_result(index, outcome)
-        return results
-
-
-# --------------------------------------------------------------------------- #
-# Multiprocess engine
-# --------------------------------------------------------------------------- #
-# The trial function is installed once per worker by the pool initializer.
-# Under the (default) fork start method the closure travels to the worker via
-# the process image rather than pickle, so arbitrary trial closures work; the
-# spawn fallback requires a picklable trial function.
-_WORKER_TRIAL_FN = None
-
-
-def _init_worker(trial_fn) -> None:
-    global _WORKER_TRIAL_FN
-    _WORKER_TRIAL_FN = trial_fn
-    # Forked workers inherit the parent's bus *and its subscribers* — a
-    # parent TraceSink delivering from many workers would interleave writes
-    # into one file.  Workers measure wall times and ship them back instead;
-    # the parent emits the events.
-    reset_default_bus()
-
-
-def _resolve_start_method(start_method: Optional[str]) -> str:
-    """Default ``multiprocessing`` start method for the campaign engines.
-
-    ``"fork"`` on Linux (required for closure trial functions), the platform
-    default elsewhere — forking is unsafe on macOS, whose default is
-    ``"spawn"``, which needs picklable trial functions.  Shared by every
-    pool-backed runner so the platform heuristic cannot drift between them.
-    """
-    if start_method is not None:
-        return start_method
-    if sys.platform.startswith("linux") and "fork" in multiprocessing.get_all_start_methods():
-        return "fork"
-    return multiprocessing.get_start_method()
-
-
-def _run_on_pool(
-    start_method: str,
-    processes: int,
-    trial_fn,
-    remote_fn,
-    items: Sequence,
-    chunksize: int,
-    handle_result: Callable,
-) -> None:
-    """Run ``remote_fn`` over ``items`` on a worker pool, streaming results.
-
-    Owns the pool lifecycle (initializer installing the trial function,
-    unordered streaming, terminate/join cleanup) for both the per-trial and
-    per-batch engines; ``handle_result`` receives each worker result and may
-    raise to abort the campaign.
-    """
-    ctx = multiprocessing.get_context(start_method)
-    pool = ctx.Pool(
-        processes=processes,
-        initializer=_init_worker,
-        initargs=(trial_fn,),
-    )
-    try:
-        for result in pool.imap_unordered(remote_fn, items, chunksize=chunksize):
-            handle_result(result)
-    finally:
-        pool.terminate()
-        pool.join()
-
-
-def _run_remote_trial(task: TrialTask):
-    """Worker-side trial execution; exceptions are shipped back as data.
-
-    Returns ``(index, outcome, error, wall_time_s)`` — the wall time is
-    measured here, in the worker, and shipped back so the parent can emit
-    accurate trial telemetry without subscribing anything in the worker.
-    """
-    index, seed = task
-    started = time.perf_counter()
-    try:
-        rng = np.random.default_rng(seed)
-        outcome = _validated(_WORKER_TRIAL_FN(rng), index)
-        return index, outcome, None, time.perf_counter() - started
-    except Exception as exc:  # surfaced as TrialExecutionError in the parent;
-        # KeyboardInterrupt/SystemExit must keep killing the worker normally.
-        return (
-            index,
-            None,
-            (f"{type(exc).__name__}: {exc}", traceback.format_exc()),
-            time.perf_counter() - started,
-        )
 
 
 def _execute_batch(trial_fn, batch: Sequence[TrialTask]) -> List[Tuple[int, "TrialOutcome"]]:
@@ -415,164 +260,144 @@ def _execute_batch(trial_fn, batch: Sequence[TrialTask]) -> List[Tuple[int, "Tri
     ]
 
 
-def _run_remote_batch(batch: Sequence[TrialTask]):
-    """Worker-side batch execution; exceptions are shipped back as data.
+# --------------------------------------------------------------------------- #
+# The process pool
+# --------------------------------------------------------------------------- #
+# The function a pool worker runs is installed once per worker by the pool
+# initializer.  Under the fork start method (Linux) it reaches the worker in
+# the process image rather than through pickle, so closures work; where
+# fork is unavailable it must be picklable.
+_WORKER_FN = None
 
-    Returns ``(results, error, batch_wall_s)`` — the whole-batch wall time
-    travels back so the parent can amortize it over the batch when emitting
-    per-trial telemetry (a vectorized batch has no per-trial wall time).
+
+def _init_worker(fn) -> None:
+    global _WORKER_FN
+    _WORKER_FN = fn
+    # Forked workers inherit the parent's bus *and its subscribers* — a
+    # parent TraceSink delivering from many workers would interleave writes
+    # into one file.  Workers ship what the parent needs back with their
+    # results instead, and the parent emits the events.
+    reset_default_bus()
+
+
+def _call_worker_fn(unit):
+    return _WORKER_FN(unit)
+
+
+def _start_method() -> str:
+    """``"fork"`` on Linux (required for closure trial functions), the
+    platform default elsewhere — forking is unsafe on macOS, whose default
+    ``"spawn"`` needs picklable functions."""
+    if sys.platform.startswith("linux") and "fork" in multiprocessing.get_all_start_methods():
+        return "fork"
+    return multiprocessing.get_start_method()
+
+
+def map_on_pool(workers: int, fn, units: Sequence, handle: Callable) -> List[int]:
+    """Run ``fn(unit)`` for every unit on ``workers`` processes.
+
+    ``fn`` is installed in each worker by the pool initializer.  ``handle``
+    receives each result in the parent as it completes and may raise to
+    abort the run; an exception raised by ``fn`` itself re-raises here.
+    When a worker process dies the pool is broken: results that did
+    complete still reach ``handle``, and the positions of the units that did
+    not are returned (sorted) for the caller to name in its typed error.
     """
-    started = time.perf_counter()
-    if not supports_batching(_WORKER_TRIAL_FN):
-        # Scalar fallback inside the batch: run trial by trial so a failure
-        # is attributed to the exact trial that raised.
-        results = []
-        for task in batch:
-            index, outcome, error, _wall = _run_remote_trial(task)
-            if error is not None:
-                return None, (index, error[0], error[1]), time.perf_counter() - started
-            results.append((index, outcome))
-        return results, None, time.perf_counter() - started
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
+    executor = ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context(_start_method()),
+        initializer=_init_worker,
+        initargs=(fn,),
+    )
+    lost: List[int] = []
     try:
-        return _execute_batch(_WORKER_TRIAL_FN, batch), None, time.perf_counter() - started
-    except Exception as exc:
-        # A vectorized failure cannot be pinned on one trial; report the
-        # first index of the batch alongside the worker traceback.
-        return (
-            None,
-            (batch[0][0], f"{type(exc).__name__}: {exc}", traceback.format_exc()),
-            time.perf_counter() - started,
-        )
+        futures = {}
+        for position, unit in enumerate(units):
+            try:
+                futures[executor.submit(_call_worker_fn, unit)] = position
+            except BrokenProcessPool:  # a worker died while we were submitting
+                lost.extend(range(position, len(units)))
+                break
+        for future in as_completed(futures):
+            try:
+                result = future.result()
+            except BrokenProcessPool:
+                lost.append(futures[future])
+                continue
+            handle(result)
+    except BaseException:
+        # Do not wait for a failed run's queued work: pending units are
+        # cancelled, running ones finish and their workers exit.
+        executor.shutdown(wait=False, cancel_futures=True)
+        raise
+    executor.shutdown()
+    return sorted(lost)
 
 
-class ParallelRunner(CampaignRunner):
-    """Runs trials on a ``multiprocessing`` pool.
+def _run_unit(trial_fn, batched: bool, unit: Sequence[TrialTask]):
+    """Worker side: run one unit of trials; a raising trial comes back as data.
 
-    Parameters
-    ----------
-    workers:
-        Process count (``None`` → one per CPU).
-    chunk_size:
-        Trials handed to a worker per scheduling round; ``None`` picks a
-        chunk that gives each worker several rounds (for progress reporting)
-        while amortizing IPC.
-    start_method:
-        ``multiprocessing`` start method.  Defaults to ``"fork"`` on Linux
-        (required for closure trial functions) and to the platform default
-        elsewhere — forking is unsafe on macOS, whose default is ``"spawn"``,
-        which needs picklable trial functions.
+    Returns ``(timed, error)``.  ``timed`` lists ``(index, outcome,
+    wall_time_s)``, timed here so the parent can emit trial telemetry
+    without subscribing anything in the worker; when ``batched`` the unit's
+    wall time is amortized over its trials (a vectorized batch has no
+    per-trial time).  ``error`` is ``(index, message, traceback)``: the
+    trial that raised, or the unit's first trial when a vectorized batch
+    raised.
     """
-
-    engine_name = "parallel"
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        start_method: Optional[str] = None,
-    ) -> None:
-        if workers is not None and workers <= 0:
-            raise ValueError(f"workers must be positive, got {workers}")
-        if chunk_size is not None and chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        self.workers = workers or (os.cpu_count() or 1)
-        self.chunk_size = chunk_size
-        self.start_method = _resolve_start_method(start_method)
-
-    def _resolve_chunk_size(self, n_tasks: int) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
-        # ~4 scheduling rounds per worker keeps the pool busy near the tail
-        # of a campaign while still batching IPC.
-        return max(1, n_tasks // (self.workers * 4))
-
-    def run_trials(
-        self,
-        trial_fn,
-        tasks: Sequence[TrialTask],
-        on_result: Optional[ResultCallback] = None,
-    ) -> List[Tuple[int, "TrialOutcome"]]:
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        bus = default_bus()
-        results: List[Tuple[int, "TrialOutcome"]] = []
-
-        def handle(result) -> None:
-            index, outcome, error, wall_time_s = result
-            if error is not None:
-                message, worker_tb = error
-                raise TrialExecutionError(index, message, worker_tb)
-            EXECUTION_STATS.record()
-            if bus.active:
-                _emit_trial_pair(bus, index, outcome, self.engine_name, wall_time_s)
-            results.append((index, outcome))
-            if on_result is not None:
-                on_result(index, outcome)
-
-        _run_on_pool(
-            self.start_method,
-            min(self.workers, len(tasks)),
-            trial_fn,
-            _run_remote_trial,
-            tasks,
-            self._resolve_chunk_size(len(tasks)),
-            handle,
-        )
-        results.sort(key=lambda pair: pair[0])
-        return results
+    index = unit[0][0]
+    started = time.perf_counter()
+    try:
+        if batched and supports_batching(trial_fn):
+            timed = [(i, outcome, 0.0) for i, outcome in _execute_batch(trial_fn, unit)]
+        else:
+            timed = []
+            for index, seed in unit:
+                trial_started = time.perf_counter()
+                outcome = _validated(trial_fn(np.random.default_rng(seed)), index)
+                timed.append((index, outcome, time.perf_counter() - trial_started))
+    except Exception as exc:  # surfaced as TrialExecutionError in the parent;
+        # KeyboardInterrupt/SystemExit must keep killing the worker normally.
+        return None, (index, f"{type(exc).__name__}: {exc}", traceback.format_exc())
+    if batched:
+        wall_time_s = (time.perf_counter() - started) / len(timed)
+        timed = [(i, outcome, wall_time_s) for i, outcome, _ in timed]
+    return timed, None
 
 
-class BatchedRunner(CampaignRunner):
-    """Runs trials in fixed-size batches, vectorized when the trial allows.
+class CampaignRunner:
+    """Executes the independently seeded trials of a campaign.
 
-    Tasks are grouped into consecutive batches of ``batch_size``; a trial
-    function that implements ``run_batch(rngs)`` (see
-    :func:`supports_batching`) evaluates each batch through one set of
-    stacked numpy operations, while plain trial functions run scalar inside
-    each batch.  The final batch of a campaign may be ragged (smaller than
-    ``batch_size``); ``run_batch`` implementations must accept any length.
-
-    Because every trial keeps its own ``SeedSequence``-derived generator and
-    batchable trial functions are contractually bit-identical to their
-    scalar paths, outcomes do not depend on the batch size.
+    See the module docstring for the execution and failure contract.
 
     Parameters
     ----------
     batch_size:
-        Trials evaluated together per vectorized call (``None`` → the
-        ``REPRO_CAMPAIGN_BATCH`` default).
+        Trials evaluated together per vectorized call (``None`` →
+        ``REPRO_CAMPAIGN_BATCH`` or 1).
     workers:
-        When > 1, batches are fanned out over a ``multiprocessing`` pool
-        (the :class:`ParallelRunner` composition); each worker then runs
-        whole batches vectorized.
-    start_method:
-        Pool start method, as for :class:`ParallelRunner`.
+        Processes the work fans out over (``None`` →
+        ``REPRO_CAMPAIGN_WORKERS`` or 1); 1 runs in-process.
     """
 
-    engine_name = "batched"
-
     def __init__(
-        self,
-        batch_size: Optional[int] = None,
-        workers: int = 1,
-        start_method: Optional[str] = None,
+        self, batch_size: Optional[int] = None, workers: Optional[int] = None
     ) -> None:
-        if batch_size is None:
-            batch_size = default_batch_size()
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        if workers <= 0:
-            raise ValueError(f"workers must be positive, got {workers}")
-        self.batch_size = batch_size
-        self.workers = workers
-        self.start_method = _resolve_start_method(start_method)
-
-    def _batches(self, tasks: Sequence[TrialTask]) -> List[List[TrialTask]]:
-        return [
-            list(tasks[start : start + self.batch_size])
-            for start in range(0, len(tasks), self.batch_size)
-        ]
+        self.batch_size = default_batch_size() if batch_size is None else batch_size
+        self.workers = default_workers() if workers is None else workers
+        if self.batch_size <= 0:
+            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+        if self.workers <= 0:
+            raise ValueError(f"workers must be positive, got {self.workers}")
+        #: Engine discriminator stamped onto trial telemetry events.
+        self.engine_name = (
+            "batched" if self.batch_size > 1
+            else "parallel" if self.workers > 1
+            else "serial"
+        )
 
     def run_trials(
         self,
@@ -580,51 +405,89 @@ class BatchedRunner(CampaignRunner):
         tasks: Sequence[TrialTask],
         on_result: Optional[ResultCallback] = None,
     ) -> List[Tuple[int, "TrialOutcome"]]:
+        """Run every ``(index, seed)`` task; return ``(index, outcome)`` pairs.
+
+        The returned list is ordered by trial index.  ``on_result`` is called
+        once per trial in *completion* order (which in a pool may differ
+        from index order).
+        """
         tasks = list(tasks)
-        if not tasks:
-            return []
         bus = default_bus()
-        batches = self._batches(tasks)
+        batched = self.batch_size > 1
         results: List[Tuple[int, "TrialOutcome"]] = []
 
-        def collect(
-            batch_results: List[Tuple[int, "TrialOutcome"]], batch_wall_s: float
-        ) -> None:
-            # A vectorized batch has no per-trial wall time: amortize the
-            # batch wall over its trials and flag the events as batched.
-            per_trial_s = batch_wall_s / len(batch_results) if batch_results else 0.0
-            for index, outcome in batch_results:
+        def accept(index: int, outcome, wall_time_s: float) -> None:
+            EXECUTION_STATS.record()
+            if bus.active:
+                _emit_trial_pair(
+                    bus, index, outcome, self.engine_name, wall_time_s, batched=batched
+                )
+            results.append((index, outcome))
+            if on_result is not None:
+                on_result(index, outcome)
+
+        # Pool units are whole batches, or — for scalar trials — chunks
+        # giving each worker ~4 scheduling rounds, which keeps the pool busy
+        # near the tail of a campaign while still batching IPC.
+        size = self.batch_size if batched else max(1, len(tasks) // (self.workers * 4))
+        units = [tasks[start : start + size] for start in range(0, len(tasks), size)]
+        workers = min(self.workers, len(units))
+        if workers > 1:
+            self._run_pooled(trial_fn, units, workers, accept)
+        elif batched:
+            for batch in units:
+                started = time.perf_counter()
+                pairs = _execute_batch(trial_fn, batch)
+                wall_time_s = (time.perf_counter() - started) / len(pairs)
+                for index, outcome in pairs:
+                    accept(index, outcome, wall_time_s)
+        else:
+            campaign = current_campaign() if bus.active else ""
+            for index, seed in tasks:
+                # Latch the active state per trial so a subscriber attached or
+                # detached mid-trial can never produce an unpaired event.
+                active = bus.active
+                if active:
+                    bus.emit(
+                        TrialStarted(campaign=campaign, trial=index, engine=self.engine_name)
+                    )
+                    started = time.perf_counter()
+                rng = np.random.default_rng(seed)
+                outcome = _validated(trial_fn(rng), index)
                 EXECUTION_STATS.record()
-                if bus.active:
-                    _emit_trial_pair(
-                        bus, index, outcome, self.engine_name, per_trial_s, batched=True
+                if active:
+                    bus.emit(
+                        TrialFinished(
+                            campaign=campaign,
+                            trial=index,
+                            engine=self.engine_name,
+                            wall_time_s=time.perf_counter() - started,
+                            success=outcome.success,
+                            metric=outcome.metric,
+                        )
                     )
                 results.append((index, outcome))
                 if on_result is not None:
                     on_result(index, outcome)
-
-        if self.workers == 1 or len(batches) == 1:
-            for batch in batches:
-                started = time.perf_counter()
-                batch_results = _execute_batch(trial_fn, batch)
-                collect(batch_results, time.perf_counter() - started)
-        else:
-
-            def handle(result) -> None:
-                batch_results, error, batch_wall_s = result
-                if error is not None:
-                    index, message, worker_tb = error
-                    raise TrialExecutionError(index, message, worker_tb)
-                collect(batch_results, batch_wall_s)
-
-            _run_on_pool(
-                self.start_method,
-                min(self.workers, len(batches)),
-                trial_fn,
-                _run_remote_batch,
-                batches,
-                1,
-                handle,
-            )
         results.sort(key=lambda pair: pair[0])
         return results
+
+    def _run_pooled(self, trial_fn, units, workers: int, accept: Callable) -> None:
+        def handle(result) -> None:
+            timed, error = result
+            if error is not None:
+                index, message, worker_tb = error
+                raise TrialExecutionError(index, message, worker_tb)
+            for index, outcome, wall_time_s in timed:
+                accept(index, outcome, wall_time_s)
+
+        job = functools.partial(_run_unit, trial_fn, self.batch_size > 1)
+        lost = map_on_pool(workers, job, units, handle)
+        if lost:
+            indices = sorted(index for position in lost for index, _ in units[position])
+            bus = default_bus()
+            if bus.active:
+                bus.emit(WorkerLost(scope=current_campaign(), unit="trial", lost=indices))
+            raise TrialExecutionError(
+                indices, "a pool worker process died before these trials completed"
+            )

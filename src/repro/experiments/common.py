@@ -25,7 +25,7 @@ from repro.core.campaign import Campaign, CampaignResult, ProgressFn, TrialFn
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only (api imports experiments)
     from repro.api.execution import ExecutionConfig
-from repro.core.runner import CampaignRunner, make_runner
+from repro.core.runner import CampaignRunner
 from repro.io.results import CampaignCheckpoint
 
 from repro.envs.drone import DroneNavEnv, make_drone_env
@@ -110,11 +110,11 @@ def run_campaign(
                 "run_campaign: pass either execution= or the individual "
                 "runner/workers/batch_size/checkpoint_dir/resume knobs, not both"
             )
-        runner = execution.make_runner()
+        runner = execution.campaign_runner()
         checkpoint_dir = execution.checkpoint_dir
         resume = execution.resume
     if runner is None:
-        runner = make_runner(workers, batch_size)
+        runner = CampaignRunner(batch_size=batch_size, workers=workers)
     checkpoint = None
     if checkpoint_dir is not None:
         checkpoint = CampaignCheckpoint(

@@ -42,6 +42,13 @@ __all__ = ["run_transient_convergence", "run_permanent_extra_training"]
 
 GridConfig = Union[GridTabularConfig, GridNNConfig]
 
+#: Extra training episodes of Fig. 4b/4d, as in the paper.
+EXTRA_EPISODE_GRID = (1000, 2000)
+
+#: The ``fast`` preset's extra episodes: a tenth of the paper's, in step
+#: with the fast presets' shortened base training (250 / 150 episodes).
+FAST_EXTRA_EPISODE_GRID = (100, 200)
+
 
 def _train(config: GridConfig, rng: np.random.Generator, hooks, episodes: int):
     if isinstance(config, GridNNConfig):
@@ -135,7 +142,7 @@ def _episodes_to_recover(
 def run_permanent_extra_training(
     config: GridConfig,
     bit_error_rates: Sequence[float],
-    extra_episode_grid: Sequence[int] = (1000, 2000),
+    extra_episode_grid: Sequence[int] = EXTRA_EPISODE_GRID,
     seed: Optional[int] = None,
     repetitions: Optional[int] = None,
     workers: Optional[int] = None,
@@ -229,5 +236,8 @@ def _permanent_extra_training_spec(
 ) -> ResultTable:
     config = grid_config_for(approach, fast, scale=execution.scale)
     return run_permanent_extra_training(
-        config, grid_ber_sweep(execution.scale), execution=execution
+        config,
+        grid_ber_sweep(execution.scale),
+        extra_episode_grid=FAST_EXTRA_EPISODE_GRID if fast else EXTRA_EPISODE_GRID,
+        execution=execution,
     )

@@ -13,7 +13,8 @@ The clean policy is trained once per configuration and the injection is then
 repeated many times with independent fault sites.
 
 The NN trial implements the batched-execution protocol (``run_batch``):
-under a :class:`~repro.core.runner.BatchedRunner` each batch of B trials
+under a :class:`~repro.core.runner.CampaignRunner` with ``batch_size=B``
+each batch of B trials
 becomes B policy *replicas* evaluated simultaneously — fault patterns apply
 to stacked quantized buffers in one vectorized bit operation, Q-values come
 from one stacked forward pass per step, and the Grid World steps all
@@ -21,7 +22,7 @@ replicas through vectorized integer math.  Every replica samples its faults
 from its own trial RNG in the scalar sampling order, so batched campaign
 outcomes are bit-identical to serial ones (enforced by
 ``tests/test_batched_parity.py``).  The tabular trial is scalar only; the
-batched runner runs it once per trial inside each batch (a replica-stacked
+batched engine runs it once per trial inside each batch (a replica-stacked
 Q table measured slower than that).
 """
 

@@ -23,8 +23,8 @@ Layout on disk::
         objects/<aa>/<digest>.json  # full artifact JSON (provenance intact)
 
 **Multi-writer index design.**  The store is safe for any number of
-concurrent writer processes (the distributed sweep runner opens one store
-per worker on a shared root).  Object puts were always conflict-free —
+concurrent writer processes (a pooled sweep's workers all write to one
+store root).  Object puts were always conflict-free —
 content-addressed filenames plus atomic replace — but a single shared
 ``index.json`` would lose entries to read-modify-write races.  Instead,
 ``put()`` appends one *journal* file per entry under ``index.d/`` (an

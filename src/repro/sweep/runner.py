@@ -2,8 +2,8 @@
 
 :class:`SweepRunner` executes every point of a
 :class:`~repro.sweep.spec.SweepSpec` through :func:`repro.api.run` — and
-therefore through the existing serial / parallel / batched campaign engines
-— with three orchestration layers on top:
+therefore through the campaign engine — with four orchestration layers on
+top:
 
 * **Caching.**  Each point is keyed into the content-addressed
   :class:`~repro.store.ArtifactStore`; under the default ``reuse`` policy a
@@ -20,6 +20,15 @@ therefore through the existing serial / parallel / batched campaign engines
   by trial index, a round with ``n`` repetitions reproduces the previous
   round's trials exactly and the final artifact is bit-identical to a fixed
   ``repetitions=n`` run at the same seed.
+* **Point parallelism.**  With ``workers > 1`` the pending points are
+  mapped over the campaign engine's process pool
+  (:func:`~repro.core.runner.map_on_pool`).  The parent keeps every
+  orchestration duty — checkpoint appends, progress, sweep events, the
+  executed-trial count — and re-emits the telemetry events each worker
+  collected for its point.  A dead worker raises
+  :class:`SweepExecutionError` naming the points that did not complete;
+  the finished ones are already in the checkpoint, so ``resume=True``
+  completes the sweep.
 
 **Seed derivation.**  Every point's campaign seed is derived from the sweep
 seed plus the point's *parameter identity* (a digest of its canonical
@@ -27,21 +36,31 @@ params JSON, folded into a ``SeedSequence``), not from its position.  Two
 consequences: reordering or extending a sweep never changes the numbers of
 the points it shares with another sweep, and a sweep over N points is
 bit-identical to N independent ``api.run`` calls at the derived seeds —
-the differential guarantee ``tests/test_sweep.py`` enforces.
+the differential guarantee ``tests/test_sweep.py`` enforces.  The same
+identity derivation makes a point computed in a pool worker bit-identical
+to the same point computed in-process.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.api.execution import ExecutionConfig
-from repro.core.runner import executed_trial_count
+from repro.core.envvars import env_positive_int
+from repro.core.runner import (
+    executed_trial_count,
+    map_on_pool,
+    parse_worker_count,
+    record_executed_trials,
+)
 from repro.io.sanitize import canonical_json
 from repro.metrics.statistics import next_adaptive_repetitions, wilson_half_width
 from repro.sweep.artifact import SweepArtifact, SweepPoint
@@ -55,12 +74,40 @@ from repro.telemetry.events import (
     SweepPointStarted,
     SweepProgress,
     SweepStarted,
+    WorkerLost,
 )
 
-__all__ = ["AdaptiveConfig", "SweepRunner", "derive_point_seed"]
+__all__ = [
+    "SWEEP_WORKERS_ENV_VAR",
+    "AdaptiveConfig",
+    "SweepExecutionError",
+    "SweepRunner",
+    "default_sweep_workers",
+    "derive_point_seed",
+]
 
 #: Progress callback: (points completed so far, total points).
 SweepProgressFn = Callable[[int, int], None]
+
+#: Environment variable selecting the default sweep worker count.
+SWEEP_WORKERS_ENV_VAR = "REPRO_SWEEP_WORKERS"
+
+
+def default_sweep_workers() -> int:
+    """Default sweep worker count: ``REPRO_SWEEP_WORKERS`` or 1 (in-process)."""
+    return env_positive_int(SWEEP_WORKERS_ENV_VAR, 1, allow_auto=True)
+
+
+class SweepExecutionError(RuntimeError):
+    """Pool worker processes died before these sweep points completed.
+
+    ``point_indices`` names them.  Every point that did complete is in the
+    sweep checkpoint, so rerunning with ``resume=True`` finishes the sweep.
+    """
+
+    def __init__(self, point_indices: Iterable[int], message: str) -> None:
+        self.point_indices = tuple(sorted(point_indices))
+        super().__init__(f"sweep points {list(self.point_indices)} failed: {message}")
 
 
 def derive_point_seed(base_seed: int, experiment: str, params: Mapping[str, Any]) -> int:
@@ -157,6 +204,11 @@ class SweepRunner:
         Ignored when ``cache="off"``.
     progress:
         Called with ``(points completed, total points)`` after every point.
+    workers:
+        Processes the pending points are mapped over (``None`` →
+        ``REPRO_SWEEP_WORKERS`` or 1; ``"auto"`` = one per CPU); 1 runs
+        every point in-process.  Results are bit-identical for any count.
+        Pool workers share the store root, whose index is multi-writer safe.
     """
 
     def __init__(
@@ -165,12 +217,18 @@ class SweepRunner:
         cache: str = "reuse",
         store: Any = None,
         progress: Optional[SweepProgressFn] = None,
+        workers: Union[int, str, None] = None,
     ) -> None:
         from repro.store import resolve_store, validate_cache_policy
 
         self.cache = validate_cache_policy(cache)
         self.store = resolve_store(store) if self.cache != "off" else None
         self.progress = progress
+        self.workers = (
+            default_sweep_workers()
+            if workers is None
+            else parse_worker_count(workers, "sweep_workers")
+        )
 
     def run(
         self,
@@ -217,9 +275,10 @@ class SweepRunner:
                     experiment=sweep.experiment,
                     n_points=len(points),
                     restored=len(restored),
+                    sweep_workers=self.workers,
                 )
             )
-        completed: List[SweepPoint] = []
+        completed: List[SweepPoint] = list(restored.values())
         done = len(restored)
         if traced and done:
             bus.emit(
@@ -227,11 +286,9 @@ class SweepRunner:
             )
         if self.progress is not None and done:
             self.progress(done, len(points))
-        for index, params in enumerate(points):
-            if index in restored:
-                completed.append(restored[index])
-                continue
-            point = self._run_point(sweep, index, params, execution, adaptive)
+
+        def accept(point: SweepPoint) -> None:
+            nonlocal done
             completed.append(point)
             if checkpoint is not None:
                 checkpoint.append(point)
@@ -244,6 +301,14 @@ class SweepRunner:
                 )
             if self.progress is not None:
                 self.progress(done, len(points))
+
+        pending = [index for index in range(len(points)) if index not in restored]
+        workers = min(self.workers, len(pending))
+        if workers > 1:
+            self._run_pooled(sweep, points, pending, execution, adaptive, workers, accept)
+        else:
+            for index in pending:
+                accept(self._run_point(sweep, index, points[index], execution, adaptive))
 
         if traced:
             bus.emit(
@@ -274,13 +339,46 @@ class SweepRunner:
     ) -> "SweepPoint":
         """Execute a single sweep point under the sweep-level ``execution``.
 
-        This is the unit of work the distributed runner hands to its worker
-        processes: the point's campaign seed is derived from its parameter
-        identity in here, so any process executing the same point computes
-        bit-identical numbers.  ``execution`` must already be resolved (as
-        :meth:`run` resolves it).
+        This is the unit of work pool workers run: the point's campaign seed
+        is derived from its parameter identity in here, so any process
+        executing the same point computes bit-identical numbers.
+        ``execution`` must already be resolved (as :meth:`run` resolves it).
         """
         return self._run_point(sweep, index, params, execution, adaptive)
+
+    def _run_pooled(
+        self,
+        sweep: SweepSpec,
+        points: List[Dict[str, Any]],
+        pending: List[int],
+        execution: ExecutionConfig,
+        adaptive: Optional[AdaptiveConfig],
+        workers: int,
+        accept: Callable[[SweepPoint], None],
+    ) -> None:
+        bus = default_bus()
+        job = functools.partial(
+            _run_pooled_point, self, sweep, points, execution, adaptive, bus.active
+        )
+
+        def handle(result) -> None:
+            point, events = result
+            for event in events:
+                bus.emit(event)
+            # The point's trials ran in the worker, whose counter we never see.
+            record_executed_trials(point.executed_trials)
+            accept(point)
+
+        lost = map_on_pool(workers, job, pending, handle)
+        if lost:
+            indices = [pending[position] for position in lost]
+            if bus.active:
+                bus.emit(WorkerLost(scope=sweep.experiment, unit="point", lost=indices))
+            raise SweepExecutionError(
+                indices,
+                "a pool worker process died before these points completed; "
+                "resume from the sweep checkpoint to finish the sweep",
+            )
 
     def _point_execution(
         self, execution: ExecutionConfig, index: int, seed: int
@@ -301,9 +399,6 @@ class SweepRunner:
         execution: ExecutionConfig,
         adaptive: Optional[AdaptiveConfig],
     ) -> SweepPoint:
-        from repro import api
-        from repro.store import artifact_key
-
         seed = derive_point_seed(execution.seed, sweep.experiment, params)
         point_execution = self._point_execution(execution, index, seed)
         spec = sweep.spec
@@ -430,3 +525,25 @@ class SweepRunner:
             if next_repetitions is None or next_repetitions <= repetitions:
                 return artifact, digest, final_round_cached, rounds, half_width
             repetitions = next_repetitions
+
+
+def _run_pooled_point(
+    runner: SweepRunner,
+    sweep: SweepSpec,
+    points: List[Dict[str, Any]],
+    execution: ExecutionConfig,
+    adaptive: Optional[AdaptiveConfig],
+    traced: bool,
+    index: int,
+):
+    """Pool-worker side of a sweep: one point plus the events it emitted.
+
+    When the parent traces, the worker collects its point's telemetry
+    events in memory and returns them with the point; the parent re-emits
+    them on its own bus.
+    """
+    events: List[Any] = []
+    bus = default_bus()
+    with bus.subscribed(events.append) if traced else contextlib.nullcontext():
+        point = runner.run_point(sweep, index, points[index], execution, adaptive)
+    return point, events

@@ -1,8 +1,8 @@
 """Telemetry: typed events, the process-global bus, trace sinks, metrics.
 
 The observability layer for every engine in the platform.  Instrumented
-subsystems (runners, sweeps, the artifact store, the distributed queue)
-emit frozen-dataclass events into a process-global :class:`EventBus`;
+subsystems (the campaign engine and its process pool, sweeps, the
+artifact store) emit frozen-dataclass events into a process-global :class:`EventBus`;
 subscribers turn the stream into JSONL traces (:class:`TraceSink`),
 aggregate statistics (:class:`Metrics` / :class:`TelemetryReport`) or a
 terminal progress line (:class:`ProgressReporter`).
@@ -15,9 +15,9 @@ Design invariants:
   ``benchmarks/bench_telemetry_overhead.py``).
 * **Observation only** — telemetry draws no RNG and feeds nothing back
   into execution; traced runs are bit-identical to untraced runs.
-* **Mergeable traces** — events carry wall-clock timestamps, so the
-  per-worker trace files of a distributed sweep merge into one timeline
-  (:func:`merge_traces`).
+* **One stream per run** — pool workers never write traces; the parent
+  re-emits what they report, so a pooled run traces into the same sinks
+  as an in-process one.
 """
 
 from repro.telemetry.bus import (
@@ -33,9 +33,6 @@ from repro.telemetry.events import (
     CampaignFinished,
     CampaignProgress,
     CampaignStarted,
-    HeartbeatMissed,
-    LeaseAcquired,
-    LeaseStolen,
     StoreEvict,
     StoreHit,
     StoreMiss,
@@ -49,6 +46,7 @@ from repro.telemetry.events import (
     TelemetryEvent,
     TrialFinished,
     TrialStarted,
+    WorkerLost,
     event_from_json_dict,
 )
 from repro.telemetry.metrics import Counters, Histogram, Metrics, TelemetryReport, Timer
@@ -56,7 +54,6 @@ from repro.telemetry.progress import ProgressReporter
 from repro.telemetry.sink import (
     TRACE_ENV_VAR,
     TraceSink,
-    merge_traces,
     read_trace,
     trace_to,
 )
@@ -88,15 +85,12 @@ __all__ = [
     "StoreMiss",
     "StorePut",
     "StoreEvict",
-    "LeaseAcquired",
-    "LeaseStolen",
-    "HeartbeatMissed",
+    "WorkerLost",
     # sink
     "TRACE_ENV_VAR",
     "TraceSink",
     "trace_to",
     "read_trace",
-    "merge_traces",
     # metrics
     "Counters",
     "Timer",

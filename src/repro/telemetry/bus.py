@@ -13,16 +13,17 @@ that:
   ``benchmarks/bench_telemetry_overhead.py``.
 * ``emit`` iterates a tuple snapshot without locking; subscription changes
   copy-on-write the tuple under a lock.  Subscribers may therefore be
-  called from any thread that emits (e.g. the distributed lease heartbeat
-  thread) and must be thread-safe themselves — the bundled
+  called from any thread that emits and must be thread-safe themselves —
+  the bundled
   :class:`~repro.telemetry.sink.TraceSink` and
   :class:`~repro.telemetry.metrics.Metrics` are.
 
 Worker processes must not inherit a parent's subscribers (a forked
 :class:`~repro.telemetry.sink.TraceSink` would interleave writes into the
-parent's file), so every pool/worker entry point calls
-:func:`reset_default_bus` first; the distributed sweep runner then attaches
-per-worker sinks whose files the coordinator merges.
+parent's file), so the pool initializer calls :func:`reset_default_bus`
+first.  Workers send what the parent should see back with their results —
+trial wall times, or a sweep point's collected events — and the parent
+emits it on its own bus.
 
 The *campaign context* is a ``contextvars.ContextVar`` carrying the name of
 the campaign currently executing, so the engines — which only see anonymous

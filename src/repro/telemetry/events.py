@@ -17,9 +17,8 @@ checks against).  The families mirror the subsystems they instrument:
   CLI progress line.
 * ``store.*`` — the content-addressed artifact store
   (:mod:`repro.store.artifact_store`): hit / miss / put / evict.
-* ``lease.*`` — the distributed work queue
-  (:mod:`repro.sweep.distributed`): lease acquisition, stale-lease
-  stealing and missed heartbeats.
+* ``worker.*`` — the process pool (:mod:`repro.core.runner`): a worker
+  process that died, with the trials or sweep points it left unfinished.
 
 Events are *observations*, never inputs: nothing in the execution path
 reads them back, they draw no RNG, and emitting (or not emitting) them can
@@ -31,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Type
+from typing import Any, Dict, List, Mapping, Optional, Type
 
 __all__ = [
     "TelemetryEvent",
@@ -50,9 +49,7 @@ __all__ = [
     "StoreMiss",
     "StorePut",
     "StoreEvict",
-    "LeaseAcquired",
-    "LeaseStolen",
-    "HeartbeatMissed",
+    "WorkerLost",
     "EVENT_KINDS",
     "event_from_json_dict",
 ]
@@ -76,9 +73,9 @@ class TelemetryEvent:
     """Base event: a ``kind`` discriminator plus a wall-clock timestamp.
 
     ``ts`` is ``time.time()`` at construction — wall clock on purpose, so
-    traces from different worker processes merge into one human-meaningful
-    timeline (monotonic clocks are not comparable across machines, and the
-    per-worker trace files of a distributed sweep are merged by timestamp).
+    events a pool worker recorded and the parent re-emitted read on the
+    same timeline as the parent's own (monotonic clocks are not comparable
+    across processes or machines).
     """
 
     kind = ""  # overridden per subclass; class attr, not a dataclass field
@@ -321,46 +318,23 @@ class StoreEvict(TelemetryEvent):
 
 
 # --------------------------------------------------------------------------- #
-# Distributed work-queue events
+# Process-pool events
 # --------------------------------------------------------------------------- #
 @_register
 @dataclass(frozen=True)
-class LeaseAcquired(TelemetryEvent):
-    """A worker won the exclusive-create race for one point's lease."""
+class WorkerLost(TelemetryEvent):
+    """A pool worker process died; ``lost`` names the work left unfinished.
 
-    point: int = 0
-    worker: str = ""
+    ``unit`` is ``"trial"`` (``scope`` is the campaign) or ``"point"``
+    (``scope`` is the sweep's experiment).
+    """
+
+    scope: str = ""
+    unit: str = "trial"
+    lost: List[int] = field(default_factory=list)
     ts: float = field(default_factory=_ts)
 
-    kind = "lease.acquired"
-
-
-@_register
-@dataclass(frozen=True)
-class LeaseStolen(TelemetryEvent):
-    """An expired lease was broken and re-acquired by another worker."""
-
-    point: int = 0
-    worker: str = ""
-    previous_worker: str = ""
-    ts: float = field(default_factory=_ts)
-
-    kind = "lease.stolen"
-
-
-@_register
-@dataclass(frozen=True)
-class HeartbeatMissed(TelemetryEvent):
-    """A worker observed another worker's lease past its heartbeat timeout."""
-
-    point: int = 0
-    #: The lease holder whose heartbeat went stale (not the observer).
-    worker: str = ""
-    age_s: float = 0.0
-    observed_by: str = ""
-    ts: float = field(default_factory=_ts)
-
-    kind = "lease.heartbeat_missed"
+    kind = "worker.lost"
 
 
 def event_from_json_dict(data: Mapping[str, Any]) -> TelemetryEvent:

@@ -6,7 +6,7 @@ Two consumption styles share the same machinery:
   events into counters/timers/histograms as the run executes; ``api.run``
   does this to stamp a ``telemetry`` summary block onto artifacts.
 * **Post-hoc**: :meth:`TelemetryReport.from_trace` replays a JSONL trace
-  file (e.g. the merged trace of a distributed sweep) through the same
+  file (e.g. the trace of a pooled sweep) through the same
   ``Metrics`` and renders per-phase timing tables — the ``trace
   summarize`` subcommand.
 
@@ -24,9 +24,6 @@ from typing import Any, Dict, Iterable, List, Optional, Union
 from repro.telemetry.events import (
     CampaignFinished,
     CampaignStarted,
-    HeartbeatMissed,
-    LeaseAcquired,
-    LeaseStolen,
     StoreEvict,
     StoreHit,
     StoreMiss,
@@ -38,6 +35,7 @@ from repro.telemetry.events import (
     TelemetryEvent,
     TrialFinished,
     TrialStarted,
+    WorkerLost,
 )
 
 __all__ = ["Counters", "Timer", "Histogram", "Metrics", "TelemetryReport"]
@@ -128,8 +126,7 @@ class Histogram:
 class Metrics:
     """Event-bus subscriber folding the stream into aggregate statistics.
 
-    Thread-safe: the bus may deliver from pool callback threads and the
-    distributed heartbeat thread concurrently.
+    Thread-safe: the bus may deliver from any thread that emits.
     """
 
     def __init__(self) -> None:
@@ -199,12 +196,8 @@ class Metrics:
                 self.counters.increment("store.puts")
             elif isinstance(event, StoreEvict):
                 self.counters.increment("store.evictions")
-            elif isinstance(event, LeaseAcquired):
-                self.counters.increment("leases.acquired")
-            elif isinstance(event, LeaseStolen):
-                self.counters.increment("leases.stolen")
-            elif isinstance(event, HeartbeatMissed):
-                self.counters.increment("leases.heartbeats_missed")
+            elif isinstance(event, WorkerLost):
+                self.counters.increment("workers.lost")
 
     # Allow subscribing the instance itself: bus.subscribe(metrics).
     __call__ = observe

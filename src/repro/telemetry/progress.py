@@ -6,8 +6,7 @@ gets shown is a subscription decision made at the CLI edge.  Two modes:
 
 * ``lines`` (default): one line per completed sweep point / campaign
   progress tick — the old behaviour, but driven by events, so it also
-  works under distributed sweeps (the coordinator re-emits merged worker
-  events).
+  works under pooled sweeps (the parent emits the progress events).
 * ``live`` (``--progress``): a single carriage-return-rewritten status
   line showing trials done, executed-vs-restored split, and the current
   CI half-width under adaptive runs.

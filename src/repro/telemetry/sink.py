@@ -1,4 +1,4 @@
-"""JSONL trace sinks: durable, mergeable event streams.
+"""JSONL trace sinks: durable event streams.
 
 A :class:`TraceSink` is an event-bus subscriber that appends one JSON line
 per event to a file.  Writes are serialized under a lock (the bus may
@@ -6,11 +6,9 @@ deliver from any emitting thread) and flushed per line, so a crashed run
 leaves at most one truncated trailing line — which :func:`read_trace`
 skips, mirroring how the campaign/sweep checkpoints tolerate torn tails.
 
-Distributed sweeps give each worker process its *own* trace file (one
-writer per file; concurrent appends to a shared file would interleave),
-and the coordinator folds them back together with :func:`merge_traces`,
-ordering events by their wall-clock timestamp so the merged trace reads as
-one timeline.
+Only the process that attached a sink writes to it: pool workers send
+their events back to the parent, which emits them on its own bus, so
+concurrent appends never interleave.
 
 :func:`trace_to` is the one-liner the CLI uses::
 
@@ -25,7 +23,7 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Union
 
 from repro.telemetry.bus import EventBus, default_bus
 from repro.telemetry.events import TelemetryEvent, event_from_json_dict
@@ -36,7 +34,6 @@ __all__ = [
     "trace_to",
     "read_trace",
     "iter_trace_lines",
-    "merge_traces",
 ]
 
 #: Environment variable naming a default trace file for every CLI subcommand.
@@ -123,7 +120,7 @@ def read_trace(
 
     By default a malformed line (a writer killed mid-append) or an unknown
     event kind is skipped, so a partially written trace from a crashed
-    worker still folds into a report.  ``strict=True`` raises instead —
+    run still folds into a report.  ``strict=True`` raises instead —
     that is the ``trace validate`` mode.
     """
     events: List[TelemetryEvent] = []
@@ -136,29 +133,3 @@ def read_trace(
             continue
     return events
 
-
-def merge_traces(
-    paths: Sequence[Union[str, os.PathLike]],
-    out: Union[str, os.PathLike, None] = None,
-) -> List[TelemetryEvent]:
-    """Merge per-worker trace files into one event-timestamp-ordered stream.
-
-    Events are sorted by wall-clock ``ts`` (the sort is stable, so ties
-    keep their within-file order); missing files are tolerated — a worker
-    that never claimed a point may never have opened its trace.  With
-    ``out`` the merged stream is also written as a JSONL trace file.
-    """
-    events: List[TelemetryEvent] = []
-    for path in paths:
-        try:
-            events.extend(read_trace(path))
-        except OSError:
-            continue
-    events.sort(key=lambda event: event.ts)
-    if out is not None:
-        out = Path(out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w") as handle:
-            for event in events:
-                handle.write(json.dumps(event.to_json_dict(), separators=(",", ":")) + "\n")
-    return events

@@ -33,3 +33,42 @@ def wide_qtensor(rng) -> QTensor:
     """A 16-bit quantized tensor (weight-like values)."""
     values = rng.normal(0.0, 0.5, size=(8, 8))
     return QTensor(values, Q16_NARROW, name="weights")
+
+
+@pytest.fixture
+def run_script():
+    """Run a Python script in a fresh interpreter; return its last stdout line as JSON.
+
+    The script sees ``src`` and ``tests`` on its path and runs in its own
+    session, so a script that hangs — a pool waiting forever on a dead
+    worker — fails the test after ``timeout`` seconds, with every process
+    it started killed, instead of hanging the suite.
+    """
+    import json
+    import os
+    import signal
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    paths = [str(Path(repro.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+    def run(script: str, *args: str, timeout: float = 60.0):
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, *map(str, args)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail(f"script did not finish within {timeout:.0f} s")
+        assert proc.returncode == 0, err
+        return json.loads(out.splitlines()[-1])
+
+    return run

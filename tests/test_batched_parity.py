@@ -14,9 +14,8 @@ import pytest
 
 from repro.core import (
     BatchedEvaluator,
-    BatchedRunner,
     Campaign,
-    SerialRunner,
+    CampaignRunner,
     StuckAtFault,
     TransientBitFlip,
     apply_patterns_stacked,
@@ -268,8 +267,8 @@ class TestFig5TrialParity:
         config, agent, env = tabular_agent_env
         trial = _TabularInferenceTrial(agent, env, mode, ber, config.max_steps, 2)
         campaign = Campaign(f"parity-fig5-tabular-{mode}", repetitions=5, seed=99)
-        serial = campaign.run(trial, runner=SerialRunner())
-        batched = campaign.run(trial, runner=BatchedRunner(batch_size=3))
+        serial = campaign.run(trial, runner=CampaignRunner(batch_size=1, workers=1))
+        batched = campaign.run(trial, runner=CampaignRunner(batch_size=3, workers=1))
         assert batched.outcomes == serial.outcomes
 
     def test_run_batch_of_one_equals_scalar(self, nn_agent_env):
@@ -291,8 +290,8 @@ class TestFig5TrialParity:
             agent, env, "stuck-at-1", 0.01, config.max_steps, config.weight_qformat, 2
         )
         campaign = Campaign("parity-fig5", repetitions=7, seed=11)
-        serial = campaign.run(trial, runner=SerialRunner())
-        batched = campaign.run(trial, runner=BatchedRunner(batch_size=batch_size))
+        serial = campaign.run(trial, runner=CampaignRunner(batch_size=1, workers=1))
+        batched = campaign.run(trial, runner=CampaignRunner(batch_size=batch_size, workers=1))
         assert [o.metric for o in batched.outcomes] == [o.metric for o in serial.outcomes]
 
 
@@ -415,6 +414,6 @@ class TestFig7TrialParity:
             drone_bundle, "indoor-long", weight_fault=TransientBitFlip(1e-3)
         )
         campaign = Campaign("parity-fig7", repetitions=5, seed=11)
-        serial = campaign.run(trial, runner=SerialRunner())
-        batched = campaign.run(trial, runner=BatchedRunner(batch_size=2))
+        serial = campaign.run(trial, runner=CampaignRunner(batch_size=1, workers=1))
+        batched = campaign.run(trial, runner=CampaignRunner(batch_size=2, workers=1))
         assert [o.metric for o in batched.outcomes] == [o.metric for o in serial.outcomes]

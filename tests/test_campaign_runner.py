@@ -1,17 +1,16 @@
-"""Tests for the campaign execution engines and checkpoint/resume."""
+"""Tests for the campaign execution engine and checkpoint/resume."""
+
+import textwrap
 
 import numpy as np
 import pytest
 
 from repro.core import (
-    BatchedRunner,
     Campaign,
     CampaignResult,
-    ParallelRunner,
-    SerialRunner,
+    CampaignRunner,
     TrialExecutionError,
     TrialOutcome,
-    make_runner,
     supports_batching,
 )
 from repro.core.runner import (
@@ -41,28 +40,19 @@ class TestParallelDeterminism:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_parallel_matches_serial_bit_identically(self, workers):
         campaign = Campaign("parity", repetitions=24, seed=1234)
-        serial = campaign.run(stochastic_trial, runner=SerialRunner())
+        serial = campaign.run(stochastic_trial, runner=CampaignRunner(batch_size=1, workers=1))
         parallel = campaign.run(
-            stochastic_trial, runner=ParallelRunner(workers=workers)
+            stochastic_trial, runner=CampaignRunner(batch_size=1, workers=workers)
         )
         assert outcome_tuples(parallel) == outcome_tuples(serial)
         assert parallel.summary() == serial.summary()
-
-    def test_chunk_size_does_not_affect_results(self):
-        campaign = Campaign("chunks", repetitions=10, seed=7)
-        serial = campaign.run(stochastic_trial, runner=SerialRunner())
-        for chunk in (1, 3, 10):
-            parallel = campaign.run(
-                stochastic_trial, runner=ParallelRunner(workers=2, chunk_size=chunk)
-            )
-            assert outcome_tuples(parallel) == outcome_tuples(serial)
 
     def test_closure_trials_work_in_workers(self):
         offset = 10.0
         campaign = Campaign("closure", repetitions=6, seed=2)
         result = campaign.run(
             lambda rng: TrialOutcome(metric=offset + float(rng.random())),
-            runner=ParallelRunner(workers=2),
+            runner=CampaignRunner(batch_size=1, workers=2),
         )
         assert result.repetitions == 6
         assert all(o.metric >= offset for o in result.outcomes)
@@ -85,16 +75,16 @@ class BatchableTrial:
 
 
 class TestBatchedDeterminism:
-    """Seeded-RNG regression: BatchedRunner pins to SerialRunner goldens."""
+    """Seeded-RNG regression: batched engines pin to serial goldens."""
 
     @pytest.mark.parametrize("batch_size", [1, 3, 8])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_batched_matches_serial_goldens(self, batch_size, workers):
         campaign = Campaign("batch-parity", repetitions=19, seed=321)
-        serial = campaign.run(stochastic_trial, runner=SerialRunner())
+        serial = campaign.run(stochastic_trial, runner=CampaignRunner(batch_size=1, workers=1))
         batched = campaign.run(
             stochastic_trial,
-            runner=BatchedRunner(batch_size=batch_size, workers=workers),
+            runner=CampaignRunner(batch_size=batch_size, workers=workers),
         )
         assert outcome_tuples(batched) == outcome_tuples(serial)
         assert batched.summary() == serial.summary()
@@ -102,10 +92,14 @@ class TestBatchedDeterminism:
     @pytest.mark.parametrize("batch_size", [1, 3, 8])
     def test_batchable_trial_matches_serial_goldens(self, batch_size):
         campaign = Campaign("batch-vec", repetitions=10, seed=55)
-        serial = campaign.run(BatchableTrial(), runner=SerialRunner())
+        serial = campaign.run(BatchableTrial(), runner=CampaignRunner(batch_size=1, workers=1))
         trial = BatchableTrial()
-        batched = campaign.run(trial, runner=BatchedRunner(batch_size=batch_size))
+        batched = campaign.run(trial, runner=CampaignRunner(batch_size=batch_size, workers=1))
         assert outcome_tuples(batched) == outcome_tuples(serial)
+        if batch_size == 1:
+            # batch_size=1 is the serial engine: every trial runs scalar.
+            assert trial.scalar_calls == 10 and not trial.batch_sizes
+            return
         # The vectorized path really ran: full batches plus a ragged tail.
         assert trial.scalar_calls == 0
         assert sum(trial.batch_sizes) == 10
@@ -114,7 +108,7 @@ class TestBatchedDeterminism:
     def test_ragged_final_batch_sizes(self):
         trial = BatchableTrial()
         Campaign("ragged", repetitions=10, seed=1).run(
-            trial, runner=BatchedRunner(batch_size=4)
+            trial, runner=CampaignRunner(batch_size=4, workers=1)
         )
         assert trial.batch_sizes == [4, 4, 2]
 
@@ -126,7 +120,7 @@ class TestBatchedDeterminism:
         path.write_text("\n".join(lines[:6]) + "\n")  # keep 5 of 11 outcomes
         resumed = campaign.run(
             BatchableTrial(),
-            runner=BatchedRunner(batch_size=3, workers=2),
+            runner=CampaignRunner(batch_size=3, workers=2),
             checkpoint=path,
             resume=True,
         )
@@ -139,7 +133,7 @@ class TestBatchedDeterminism:
 
         with pytest.raises((ValueError, TrialExecutionError)):
             Campaign("short", repetitions=4, seed=0).run(
-                Broken(), runner=BatchedRunner(batch_size=4)
+                Broken(), runner=CampaignRunner(batch_size=4, workers=1)
             )
 
     def test_scalar_fallback_errors_name_the_exact_trial(self):
@@ -160,7 +154,7 @@ class TestBatchedDeterminism:
 
         with pytest.raises(TrialExecutionError, match="victim trial failed") as excinfo:
             campaign.run(
-                explodes_on_victim, runner=BatchedRunner(batch_size=4, workers=2)
+                explodes_on_victim, runner=CampaignRunner(batch_size=4, workers=2)
             )
         assert excinfo.value.trial_index == victim
 
@@ -171,7 +165,7 @@ class TestBatchedDeterminism:
 
         with pytest.raises(TrialExecutionError, match="vectorized failure") as excinfo:
             Campaign("boom", repetitions=6, seed=0).run(
-                Exploding(), runner=BatchedRunner(batch_size=3, workers=2)
+                Exploding(), runner=CampaignRunner(batch_size=3, workers=2)
             )
         assert "RuntimeError" in excinfo.value.worker_traceback
 
@@ -187,7 +181,7 @@ class TestCrashSurfacing:
 
         campaign = Campaign("crash", repetitions=4, seed=0)
         with pytest.raises(TrialExecutionError) as excinfo:
-            campaign.run(exploding, runner=ParallelRunner(workers=2))
+            campaign.run(exploding, runner=CampaignRunner(batch_size=1, workers=2))
         assert "simulated trial failure" in str(excinfo.value)
         assert 0 <= excinfo.value.trial_index < 4
         assert "ValueError" in excinfo.value.worker_traceback
@@ -195,14 +189,83 @@ class TestCrashSurfacing:
     def test_bad_return_type_surfaces_from_workers(self):
         campaign = Campaign("badtype", repetitions=2, seed=0)
         with pytest.raises(TrialExecutionError, match="TrialOutcome"):
-            campaign.run(lambda rng: 42, runner=ParallelRunner(workers=2))
+            campaign.run(lambda rng: 42, runner=CampaignRunner(batch_size=1, workers=2))
 
     def test_serial_exceptions_propagate_unwrapped(self):
         def exploding(rng):
             raise ValueError("serial failure")
 
         with pytest.raises(ValueError, match="serial failure"):
-            Campaign("crash", 3).run(exploding, runner=SerialRunner())
+            Campaign("crash", 3).run(exploding, runner=CampaignRunner(batch_size=1, workers=1))
+
+
+#: A campaign whose victim trial SIGKILLs its own pool worker, once (a
+#: marker file guards the kill).  Prints the lost trial indices named by the
+#: TrialExecutionError and by the ``worker.lost`` events.
+KILLED_WORKER_SCRIPT = textwrap.dedent("""
+    import json, os, signal, sys
+    import numpy as np
+    from repro.core import Campaign, CampaignRunner, TrialExecutionError, TrialOutcome
+    from repro.telemetry import default_bus
+
+    marker, checkpoint, batch_size, victim = sys.argv[1:5]
+    campaign = Campaign("killed", repetitions=8, seed=0)
+    victim_draw = np.random.default_rng(campaign.trial_seeds()[int(victim)]).random()
+
+    def trial(rng):
+        value = rng.random()
+        if value == victim_draw:
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                pass
+            else:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return TrialOutcome(metric=value)
+
+    events = []
+    default_bus().subscribe(events.append)
+    runner = CampaignRunner(batch_size=int(batch_size), workers=2)
+    try:
+        campaign.run(trial, runner=runner, checkpoint=checkpoint)
+        lost = None
+    except TrialExecutionError as exc:
+        lost = list(exc.trial_indices)
+    print(json.dumps({
+        "lost": lost,
+        "events": [e.lost for e in events if e.kind == "worker.lost"],
+    }))
+""")
+
+
+class TestDeadWorker:
+    """A SIGKILLed pool worker ends the campaign with a typed error, never a hang."""
+
+    @pytest.mark.parametrize(
+        "batch_size", [pytest.param(1, id="workers2"), pytest.param(2, id="batch2-workers2")]
+    )
+    def test_killed_worker_names_the_lost_trials(self, tmp_path, run_script, batch_size):
+        victim = 5
+        checkpoint = tmp_path / "killed.jsonl"
+        report = run_script(
+            KILLED_WORKER_SCRIPT, tmp_path / "marker", checkpoint, batch_size, victim
+        )
+        lost = report["lost"]
+        assert lost is not None and victim in lost
+        assert report["events"] == [lost]
+        # Every trial either completed into the checkpoint or is named lost,
+        # so resuming finishes the campaign with the uninterrupted numbers.
+        campaign = Campaign("killed", repetitions=8, seed=0)
+        finished = CampaignCheckpoint(checkpoint).load(campaign)
+        assert sorted(list(finished) + lost) == list(range(8))
+
+        def trial(rng):
+            return TrialOutcome(metric=rng.random())
+
+        resumed = campaign.run(trial, checkpoint=checkpoint, resume=True)
+        assert resumed.executed_trials == len(lost)
+        uninterrupted = campaign.run(trial, runner=CampaignRunner(batch_size=1, workers=1))
+        assert outcome_tuples(resumed) == outcome_tuples(uninterrupted)
 
 
 class TestCheckpointResume:
@@ -241,7 +304,7 @@ class TestCheckpointResume:
 
         resumed = campaign.run(
             stochastic_trial,
-            runner=ParallelRunner(workers=2),
+            runner=CampaignRunner(batch_size=1, workers=2),
             checkpoint=path,
             resume=True,
         )
@@ -324,17 +387,20 @@ class TestProgressReporting:
 
 
 class TestRunnerResolution:
-    def test_make_runner_defaults_to_serial(self, monkeypatch):
+    def test_campaign_runner_defaults_to_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_CAMPAIGN_WORKERS", raising=False)
-        assert isinstance(make_runner(), SerialRunner)
-        assert isinstance(make_runner(1), SerialRunner)
-        assert isinstance(make_runner(3), ParallelRunner)
+        monkeypatch.delenv("REPRO_CAMPAIGN_BATCH", raising=False)
+        runner = CampaignRunner()
+        assert (runner.batch_size, runner.workers) == (1, 1)
+        assert runner.engine_name == "serial"
+        assert CampaignRunner(workers=1).engine_name == "serial"
+        assert CampaignRunner(workers=3).engine_name == "parallel"
 
     def test_workers_env_var(self, monkeypatch):
         monkeypatch.setenv("REPRO_CAMPAIGN_WORKERS", "4")
         assert default_workers() == 4
-        runner = make_runner()
-        assert isinstance(runner, ParallelRunner) and runner.workers == 4
+        runner = CampaignRunner()
+        assert runner.engine_name == "parallel" and runner.workers == 4
         monkeypatch.setenv("REPRO_CAMPAIGN_WORKERS", "auto")
         assert default_workers() >= 1
         monkeypatch.setenv("REPRO_CAMPAIGN_WORKERS", "bogus")
@@ -354,28 +420,26 @@ class TestRunnerResolution:
 
     def test_invalid_worker_counts_rejected(self):
         with pytest.raises(ValueError):
-            make_runner(0)
+            CampaignRunner(workers=0)
         with pytest.raises(ValueError):
-            ParallelRunner(workers=-1)
-        with pytest.raises(ValueError):
-            ParallelRunner(chunk_size=0)
+            CampaignRunner(workers=-1)
 
-    def test_make_runner_batch_size(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CAMPAIGN_BATCH", raising=False)
-        assert isinstance(make_runner(1, 1), SerialRunner)
-        runner = make_runner(1, 8)
-        assert isinstance(runner, BatchedRunner) and runner.batch_size == 8
-        combined = make_runner(4, 8)
-        assert isinstance(combined, BatchedRunner)
+    def test_campaign_runner_batch_size(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CAMPAIGN_WORKERS", raising=False)
+        assert CampaignRunner(batch_size=1, workers=1).engine_name == "serial"
+        runner = CampaignRunner(batch_size=8)
+        assert runner.engine_name == "batched" and runner.batch_size == 8
+        combined = CampaignRunner(batch_size=8, workers=4)
+        assert combined.engine_name == "batched"
         assert combined.batch_size == 8 and combined.workers == 4
         with pytest.raises(ValueError):
-            make_runner(1, 0)
+            CampaignRunner(batch_size=0, workers=1)
 
     def test_batch_env_var(self, monkeypatch):
         monkeypatch.setenv("REPRO_CAMPAIGN_BATCH", "6")
         assert default_batch_size() == 6
-        runner = make_runner()
-        assert isinstance(runner, BatchedRunner) and runner.batch_size == 6
+        runner = CampaignRunner()
+        assert runner.engine_name == "batched" and runner.batch_size == 6
         monkeypatch.setenv("REPRO_CAMPAIGN_BATCH", "bogus")
         with pytest.raises(ValueError):
             default_batch_size()
@@ -394,9 +458,9 @@ class TestRunnerResolution:
 
     def test_invalid_batched_runner_rejected(self):
         with pytest.raises(ValueError):
-            BatchedRunner(batch_size=0)
+            CampaignRunner(batch_size=0, workers=1)
         with pytest.raises(ValueError):
-            BatchedRunner(batch_size=2, workers=0)
+            CampaignRunner(batch_size=2, workers=0)
 
     def test_batch_env_var_drives_campaign_run(self, monkeypatch):
         campaign = Campaign("envbatch", repetitions=9, seed=17)

@@ -286,7 +286,7 @@ class TestSweepCli:
             assert (s.seed, s.digest) == (d.seed, d.digest)
             assert s.artifact.result.to_json_dict() == d.artifact.result.to_json_dict()
 
-        # Warm distributed re-run serves every point from the store.
+        # Warm pooled re-run serves every point from the store.
         assert main(argv("dist", "store-d", ("--sweep-workers", "2"))) == 0
         assert "2 cache hit(s), 0 trial(s) executed" in capsys.readouterr().out
 

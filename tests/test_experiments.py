@@ -147,6 +147,30 @@ class TestGridWorldDrivers:
         )
         assert len(table) == 2
 
+    @pytest.mark.parametrize("approach", ["tabular", "nn"])
+    def test_fig4_fast_spec_trains_a_reduced_extra_grid(self, monkeypatch, approach):
+        # The paper's 1000/2000 extra episodes made `fig4 --fast` the slowest
+        # CLI run; the fast spec trains a tenth of them, paper scale all.
+        import inspect
+
+        grids = []
+        monkeypatch.setattr(
+            fig4_convergence,
+            "run_permanent_extra_training",
+            lambda config, bers, extra_episode_grid, execution: grids.append(
+                tuple(extra_episode_grid)
+            ),
+        )
+        spec = fig4_convergence._permanent_extra_training_spec
+        spec(ExecutionConfig(scale="small"), approach=approach, fast=True)
+        spec(ExecutionConfig(scale="small"), approach=approach, fast=False)
+        assert grids == [(100, 200), (1000, 2000)]
+        monkeypatch.undo()
+        default = inspect.signature(
+            fig4_convergence.run_permanent_extra_training
+        ).parameters["extra_episode_grid"].default
+        assert tuple(default) == (1000, 2000)
+
     def test_fig5_inference_modes(self, fast_tabular):
         table = fig5_inference.run_inference_fault_sweep(
             fast_tabular, [0.01], fault_modes=("transient-1", "transient-m"),

@@ -11,10 +11,18 @@ The acceptance-critical guarantees:
     point.
 
 Plus: point enumeration (grid / zip / random), axis validation, sweep
-checkpoint/resume, artifact JSON round-trips and the flattened table views.
-Most tests run against the synthetic Bernoulli spec (see
+checkpoint/resume, artifact JSON round-trips, the flattened table views,
+and point parallelism over the process pool (``workers > 1``: bit-identical
+to in-process, zero trials when warm, typed error plus resume when a worker
+dies).  Most tests run against the synthetic Bernoulli spec (see
 ``sweep_testlib``); one integration test runs a real fig5 sweep.
+
+Pool workers are forked, so specs registered by this module (the failing
+spec below) are visible inside them without re-import.
 """
+
+import os
+import textwrap
 
 import numpy as np
 import pytest
@@ -23,6 +31,8 @@ import sweep_testlib
 from repro import api
 from repro.api import ExecutionConfig
 from repro.core.runner import executed_trial_count
+from repro.experiments.registry import ParamSpec, register_experiment
+from repro.io.results import ResultTable
 from repro.metrics.statistics import wilson_half_width
 from repro.store import ArtifactStore
 from repro.sweep import (
@@ -31,10 +41,26 @@ from repro.sweep import (
     SweepCheckpoint,
     SweepRunner,
     SweepSpec,
+    default_sweep_workers,
     derive_point_seed,
 )
+from repro.telemetry import TrialFinished, TrialStarted, default_bus
 
 SPEC = sweep_testlib.SPEC_NAME
+FAILING_SPEC = "synthetic.failing"
+
+
+@register_experiment(
+    FAILING_SPEC,
+    description="Deterministically failing campaign (test-only)",
+    params=(ParamSpec("p", float, 0.5, help="fails when p > 0.5"),),
+)
+def run_failing(execution: ExecutionConfig, *, p: float) -> ResultTable:
+    if p > 0.5:
+        raise ValueError(f"synthetic failure at p={p}")
+    table = ResultTable(title="ok")
+    table.add(p=p, success_rate=1.0)
+    return table
 
 
 def _sweep_spec(ps=(0.25, 0.75), labels=("x",)):
@@ -452,3 +478,199 @@ class TestRealExperimentIntegration:
             execution=ExecutionConfig(seed=point.seed, repetitions=2),
         )
         assert solo.result.to_json_dict() == point.artifact.result.to_json_dict()
+
+
+# --------------------------------------------------------------------------- #
+# Point parallelism over the process pool
+# --------------------------------------------------------------------------- #
+def _p_spec(ps=(0.1, 0.3, 0.5, 0.7, 0.9), experiment=SPEC):
+    return SweepSpec(experiment=experiment, axes=(("p", tuple(ps)),))
+
+
+def _payloads(artifact):
+    return [
+        (pt.index, pt.seed, pt.digest, pt.artifact.result.to_json_dict())
+        for pt in artifact.points
+    ]
+
+
+#: A sweep whose p=0.7 point SIGKILLs its pool worker, once (a marker file
+#: guards the kill).  Prints the lost points named by the typed error, then
+#: the payloads of the resumed sweep and of an in-process one.
+KILLED_SWEEP_SCRIPT = textwrap.dedent("""
+    import json, os, signal, sys
+    import sweep_testlib
+    from repro.api import ExecutionConfig
+    from repro.experiments.registry import ParamSpec, register_experiment
+    from repro.sweep import SweepExecutionError, SweepRunner, SweepSpec
+
+    marker, checkpoint = sys.argv[1:3]
+
+    @register_experiment(
+        "synthetic.killer",
+        description="Kills its pool worker once at p=0.7 (test-only)",
+        params=(ParamSpec("p", float, 0.5), ParamSpec("label", str, "a")),
+    )
+    def run_killer(execution, *, p, label):
+        if p == 0.7:
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                pass
+            else:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return sweep_testlib.run_bernoulli(execution, p=p, label=label)
+
+    def payloads(artifact):
+        return [(pt.index, pt.seed, pt.digest, pt.artifact.result.to_json_dict())
+                for pt in artifact.points]
+
+    spec = SweepSpec(experiment="synthetic.killer", axes=(("p", (0.2, 0.4, 0.7, 0.9)),))
+    execution = ExecutionConfig(seed=11, repetitions=4)
+    try:
+        SweepRunner(workers=2, cache="off").run(spec, execution, checkpoint=checkpoint)
+        lost = None
+    except SweepExecutionError as exc:
+        lost = list(exc.point_indices)
+    resumed = SweepRunner(workers=2, cache="off").run(
+        spec, execution, checkpoint=checkpoint, resume=True)
+    serial = SweepRunner(workers=1, cache="off").run(spec, execution)
+    print(json.dumps({"lost": lost, "resumed": payloads(resumed),
+                      "serial": payloads(serial)}))
+""")
+
+
+class TestPooledSweep:
+    """``SweepRunner(workers=N)`` maps points over the process pool."""
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_bit_identical_to_serial(self, tmp_path, workers):
+        execution = ExecutionConfig(seed=11, repetitions=6)
+        serial = SweepRunner(workers=1, store=tmp_path / "serial").run(
+            _p_spec(), execution
+        )
+        before = executed_trial_count()
+        pooled = SweepRunner(workers=workers, store=tmp_path / f"pool{workers}").run(
+            _p_spec(), execution
+        )
+        assert _payloads(pooled) == _payloads(serial)
+        # No duplicate work, and the workers' trial counts flow back into
+        # this process's counter.
+        assert pooled.executed_trials == serial.executed_trials
+        assert executed_trial_count() - before == serial.executed_trials
+
+    def test_adaptive_bit_identical_to_serial(self):
+        adaptive = AdaptiveConfig(target_ci=0.2, initial_repetitions=4)
+        execution = ExecutionConfig(seed=5)
+        spec = _p_spec(ps=(0.2, 0.8))
+        serial = SweepRunner(workers=1, cache="off").run(spec, execution, adaptive=adaptive)
+        pooled = SweepRunner(workers=2, cache="off").run(spec, execution, adaptive=adaptive)
+        assert _payloads(pooled) == _payloads(serial)
+        assert [pt.adaptive_rounds for pt in pooled.points] == [
+            pt.adaptive_rounds for pt in serial.points
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_warm_store_executes_zero_trials(self, tmp_path, workers):
+        execution = ExecutionConfig(seed=11, repetitions=6)
+        store = tmp_path / "store"
+        cold = SweepRunner(workers=workers, store=store).run(_p_spec(), execution)
+        assert cold.executed_trials > 0
+
+        before = executed_trial_count()
+        warm = SweepRunner(workers=workers, store=store).run(_p_spec(), execution)
+        assert warm.executed_trials == 0
+        assert executed_trial_count() - before == 0
+        assert all(pt.cache_hit for pt in warm.points)
+        assert _payloads(warm) == _payloads(cold)
+
+    def test_serial_and_pooled_share_a_store(self, tmp_path):
+        # Points cached in-process are hits for pooled workers and vice
+        # versa — same content keys, same on-disk format.
+        execution = ExecutionConfig(seed=3, repetitions=5)
+        store = tmp_path / "store"
+        SweepRunner(workers=1, store=store).run(_p_spec(ps=(0.2, 0.4)), execution)
+        mixed = SweepRunner(workers=2, store=store).run(
+            _p_spec(ps=(0.2, 0.4, 0.6)), execution
+        )
+        assert [pt.cache_hit for pt in mixed.points] == [True, True, False]
+        again = SweepRunner(workers=1, store=store).run(
+            _p_spec(ps=(0.2, 0.4, 0.6)), execution
+        )
+        assert again.cache_hits == 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_deterministic_error_reaches_the_caller(self, workers):
+        spec = _p_spec(ps=(0.3, 0.7), experiment=FAILING_SPEC)
+        runner = SweepRunner(workers=workers, cache="off")
+        with pytest.raises(ValueError, match="synthetic failure at p=0.7"):
+            runner.run(spec, ExecutionConfig(seed=1, repetitions=2))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_checkpoint_resume_skips_completed_points(self, tmp_path, workers):
+        execution = ExecutionConfig(seed=7, repetitions=4)
+        path = tmp_path / "sweep.jsonl"
+        spec = _p_spec(ps=(0.2, 0.8))
+        first = SweepRunner(workers=workers, cache="off").run(
+            spec, execution, checkpoint=SweepCheckpoint(path)
+        )
+        before = executed_trial_count()
+        resumed = SweepRunner(workers=workers, cache="off").run(
+            spec, execution, checkpoint=SweepCheckpoint(path), resume=True
+        )
+        assert executed_trial_count() - before == 0  # everything restored
+        assert _payloads(resumed) == _payloads(first)
+
+    def test_env_var_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SWEEP_WORKERS", raising=False)
+        assert default_sweep_workers() == 1
+        assert SweepRunner(cache="off").workers == 1
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "3")
+        assert default_sweep_workers() == 3
+        assert SweepRunner(cache="off").workers == 3
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "auto")
+        assert default_sweep_workers() == os.cpu_count()
+
+    def test_invalid_workers_rejected(self):
+        for bad in (0, -1, "zero"):
+            with pytest.raises(ValueError, match="sweep_workers"):
+                SweepRunner(workers=bad)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_progress_reaches_total(self, workers):
+        calls = []
+        SweepRunner(
+            workers=workers, cache="off", progress=lambda d, t: calls.append((d, t))
+        ).run(_p_spec(ps=(0.2, 0.8)), ExecutionConfig(seed=1, repetitions=3))
+        assert calls == [(1, 2), (2, 2)]
+
+    def test_api_sweep_workers_matches_serial(self):
+        execution = ExecutionConfig(seed=9, repetitions=5)
+        serial = api.sweep(SPEC, {"p": [0.25, 0.75]}, execution=execution,
+                           cache="off")
+        pooled = api.sweep(SPEC, {"p": [0.25, 0.75]}, execution=execution,
+                           cache="off", sweep_workers=2)
+        assert _payloads(pooled) == _payloads(serial)
+
+    def test_one_pair_per_trial(self):
+        # The events each worker collects for its point reach this
+        # process's bus: one trial pair per executed trial.
+        events = []
+        with default_bus().subscribed(events.append):
+            artifact = SweepRunner(workers=4, cache="off").run(
+                _p_spec(ps=(0.1, 0.4, 0.6, 0.9)), ExecutionConfig(seed=11, repetitions=6)
+            )
+        started = [e for e in events if isinstance(e, TrialStarted)]
+        finished = [e for e in events if isinstance(e, TrialFinished)]
+        assert len(started) == len(finished) == artifact.executed_trials == 24
+        # Pairs match per (campaign, trial) identity, not just in bulk.
+        assert sorted((e.campaign, e.trial) for e in started) == sorted(
+            (e.campaign, e.trial) for e in finished
+        )
+
+    def test_killed_worker_names_lost_points_and_resume_completes(
+        self, tmp_path, run_script
+    ):
+        report = run_script(KILLED_SWEEP_SCRIPT, tmp_path / "marker", tmp_path / "sweep.jsonl")
+        assert report["lost"] is not None and 2 in report["lost"]  # p=0.7
+        assert report["resumed"] == report["serial"]

@@ -3,29 +3,26 @@
 The load-bearing guarantees:
 
 (a) exactly one ``TrialStarted``/``TrialFinished`` pair per *executed*
-    trial on every engine — serial, parallel, batched and distributed;
+    trial on every engine — serial, parallel and batched campaigns, and
+    pooled sweeps (the last in ``tests/test_sweep.py``);
 (b) tracing never changes the numbers: a traced run is bit-identical to
     an untraced run of the same campaign/sweep;
-(c) traces round-trip through JSONL, merge across worker files in
-    timestamp order, and fold into a :class:`TelemetryReport` whose
-    accounting matches the artifacts' own counters;
-(d) lease staleness in the distributed queue is monotonic-clock based on
-    the same boot and clamped (never negative) across clock domains.
+(c) traces round-trip through JSONL and fold into a
+    :class:`TelemetryReport` whose accounting matches the artifacts' own
+    counters, including the events pool workers send back.
 """
 
 import io
 import json
-import time
 
 import pytest
 
 import sweep_testlib
 from repro import api
 from repro.api.execution import ExecutionConfig
-from repro.core import BatchedRunner, Campaign, ParallelRunner, SerialRunner, TrialOutcome
+from repro.core import Campaign, CampaignRunner, TrialOutcome
 from repro.store import ArtifactStore, artifact_key
-from repro.sweep import DistributedSweepRunner, SweepRunner, SweepSpec
-from repro.sweep.distributed import PointLease
+from repro.sweep import SweepRunner, SweepSpec
 from repro.telemetry import (
     EVENT_KINDS,
     CampaignFinished,
@@ -40,7 +37,6 @@ from repro.telemetry import (
     TrialStarted,
     default_bus,
     event_from_json_dict,
-    merge_traces,
     read_trace,
     reset_default_bus,
     trace_to,
@@ -67,6 +63,10 @@ def collect(bus=None):
 
 def trial_fn(rng) -> TrialOutcome:
     return TrialOutcome(success=bool(rng.random() < 0.5), metric=float(rng.normal()))
+
+
+def serial() -> CampaignRunner:
+    return CampaignRunner(batch_size=1, workers=1)
 
 
 # --------------------------------------------------------------------------- #
@@ -102,7 +102,7 @@ class TestEvents:
 
     def test_registry_covers_every_family(self):
         families = {kind.split(".")[0] for kind in EVENT_KINDS}
-        assert families == {"campaign", "trial", "sweep", "store", "lease"}
+        assert families == {"campaign", "trial", "sweep", "store", "worker"}
 
 
 # --------------------------------------------------------------------------- #
@@ -152,19 +152,19 @@ class TestBus:
 # Trial-pair completeness across every engine
 # --------------------------------------------------------------------------- #
 ENGINES = [
-    pytest.param(lambda: SerialRunner(), "serial", id="serial"),
-    pytest.param(lambda: ParallelRunner(workers=2), "parallel", id="parallel-2"),
-    pytest.param(lambda: BatchedRunner(batch_size=4), "batched", id="batched-4"),
+    pytest.param(lambda: CampaignRunner(batch_size=1, workers=1), "serial", id="serial"),
+    pytest.param(lambda: CampaignRunner(batch_size=1, workers=2), "parallel", id="parallel-2"),
+    pytest.param(lambda: CampaignRunner(batch_size=4, workers=1), "batched", id="batched-4"),
 ]
 
 
 class TestTrialPairs:
-    @pytest.mark.parametrize("make_runner, engine", ENGINES)
-    def test_one_pair_per_trial(self, make_runner, engine):
+    @pytest.mark.parametrize("new_runner, engine", ENGINES)
+    def test_one_pair_per_trial(self, new_runner, engine):
         events = collect()
         reps = 10
         Campaign("pairs", repetitions=reps, seed=3).run(
-            trial_fn, runner=make_runner()
+            trial_fn, runner=new_runner()
         )
         started = [e for e in events if isinstance(e, TrialStarted)]
         finished = [e for e in events if isinstance(e, TrialFinished)]
@@ -179,37 +179,22 @@ class TestTrialPairs:
         assert [type(e) for e in campaigns] == [CampaignStarted, CampaignFinished]
         assert campaigns[1].executed_trials == reps
 
-    def test_one_pair_per_trial_distributed(self, tmp_path):
-        events = collect()
-        execution = ExecutionConfig(seed=11, repetitions=6)
-        spec = SweepSpec(experiment=SPEC, axes=(("p", (0.1, 0.4, 0.6, 0.9)),))
-        artifact = DistributedSweepRunner(sweep_workers=4, cache="off").run(
-            spec, execution
-        )
-        started = [e for e in events if isinstance(e, TrialStarted)]
-        finished = [e for e in events if isinstance(e, TrialFinished)]
-        assert len(started) == len(finished) == artifact.executed_trials == 24
-        # Pairs match per (campaign, trial) identity, not just in bulk.
-        assert sorted((e.campaign, e.trial) for e in started) == sorted(
-            (e.campaign, e.trial) for e in finished
-        )
-
     def test_restored_trials_emit_no_pairs(self, tmp_path):
         campaign = Campaign("restore", repetitions=8, seed=2)
         checkpoint = tmp_path / "c.jsonl"
-        campaign.run(trial_fn, runner=SerialRunner(), checkpoint=checkpoint, resume=True)
+        campaign.run(trial_fn, runner=serial(), checkpoint=checkpoint, resume=True)
         events = collect()
-        campaign.run(trial_fn, runner=SerialRunner(), checkpoint=checkpoint, resume=True)
+        campaign.run(trial_fn, runner=serial(), checkpoint=checkpoint, resume=True)
         assert not [e for e in events if isinstance(e, (TrialStarted, TrialFinished))]
         campaigns = [e for e in events if isinstance(e, CampaignStarted)]
         assert campaigns and campaigns[0].restored == 8
 
-    @pytest.mark.parametrize("make_runner, engine", ENGINES)
-    def test_traced_run_bit_identical_to_untraced(self, make_runner, engine):
+    @pytest.mark.parametrize("new_runner, engine", ENGINES)
+    def test_traced_run_bit_identical_to_untraced(self, new_runner, engine):
         campaign = Campaign("identity", repetitions=12, seed=9)
-        untraced = campaign.run(trial_fn, runner=make_runner())
+        untraced = campaign.run(trial_fn, runner=new_runner())
         events = collect()
-        traced = campaign.run(trial_fn, runner=make_runner())
+        traced = campaign.run(trial_fn, runner=new_runner())
         assert [
             (o.success, o.metric, tuple(sorted(o.extras.items())))
             for o in traced.outcomes
@@ -221,7 +206,7 @@ class TestTrialPairs:
 
 
 # --------------------------------------------------------------------------- #
-# Sink, trace files, merge
+# Sink and trace files
 # --------------------------------------------------------------------------- #
 class TestTraceFiles:
     def test_sink_writes_jsonl_and_read_trace_round_trips(self, tmp_path):
@@ -237,7 +222,7 @@ class TestTraceFiles:
         path = tmp_path / "t.jsonl"
         with trace_to(path):
             Campaign("traced", repetitions=4, seed=1).run(
-                trial_fn, runner=SerialRunner()
+                trial_fn, runner=serial()
             )
         assert not default_bus().active
         events = read_trace(path)
@@ -252,35 +237,20 @@ class TestTraceFiles:
         with pytest.raises(ValueError, match="invalid trace line"):
             read_trace(path, strict=True)
 
-    def test_merge_traces_orders_by_timestamp(self, tmp_path):
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        early = TrialStarted(trial=0, ts=100.0)
-        mid = TrialFinished(trial=0, ts=150.0)
-        late = TrialStarted(trial=1, ts=200.0)
-        with TraceSink(a) as sink:
-            sink(mid)
-        with TraceSink(b) as sink:
-            sink(late)
-            sink(early)
-        out = tmp_path / "merged.jsonl"
-        merged = merge_traces([a, b, tmp_path / "missing.jsonl"], out=out)
-        assert merged == [early, mid, late]
-        assert read_trace(out) == merged
-
 
 # --------------------------------------------------------------------------- #
 # Metrics / report accounting
 # --------------------------------------------------------------------------- #
 class TestReport:
     def test_report_accounts_for_every_point_and_trial(self, tmp_path):
-        """Acceptance shape: traced 4-worker distributed sweep, warm+cold."""
+        """Acceptance shape: traced 4-worker pooled sweep, warm+cold."""
         trace = tmp_path / "sweep.jsonl"
         store = ArtifactStore(tmp_path / "store")
         execution = ExecutionConfig(seed=7, repetitions=5)
         spec = SweepSpec(experiment=SPEC, axes=(("p", (0.2, 0.5, 0.8)),))
 
         with trace_to(trace):
-            cold = DistributedSweepRunner(sweep_workers=4, store=store).run(
+            cold = SweepRunner(workers=4, store=store).run(
                 spec, execution
             )
         report = TelemetryReport.from_trace(trace)
@@ -288,16 +258,16 @@ class TestReport:
         assert report.executed_trials == cold.executed_trials == 15
         assert report.sweep_points == len(cold.points) == 3
         assert report.cache_hits == cold.cache_hits == 0
-        # Store traffic happens inside the forked workers (the coordinator
+        # Store traffic happens inside the forked workers (the parent
         # instance's own counters stay untouched) but still reaches the
-        # merged trace: one put per point, probed-and-missed at least once.
+        # trace: one put per point, probed-and-missed at least once.
         assert report.metrics.counters.get("store.puts") == 3
         assert report.store_misses >= 3
         assert store.hits == store.misses == store.puts == 0
 
         warm_trace = tmp_path / "warm.jsonl"
         with trace_to(warm_trace):
-            warm = DistributedSweepRunner(sweep_workers=4, store=store).run(
+            warm = SweepRunner(workers=4, store=store).run(
                 spec, execution
             )
         warm_report = TelemetryReport.from_trace(warm_trace)
@@ -324,7 +294,7 @@ class TestReport:
 
     def test_metrics_timers_and_render(self):
         events = collect()
-        Campaign("timed", repetitions=6, seed=4).run(trial_fn, runner=SerialRunner())
+        Campaign("timed", repetitions=6, seed=4).run(trial_fn, runner=serial())
         metrics = Metrics()
         for event in events:
             metrics.observe(event)
@@ -339,7 +309,7 @@ class TestReport:
     def test_report_survives_json_round_trip_of_trace(self, tmp_path):
         trace = tmp_path / "t.jsonl"
         with trace_to(trace):
-            Campaign("rt", repetitions=3, seed=1).run(trial_fn, runner=SerialRunner())
+            Campaign("rt", repetitions=3, seed=1).run(trial_fn, runner=serial())
         events = read_trace(trace)
         assert TelemetryReport.from_events(events).executed_trials == 3
 
@@ -415,72 +385,6 @@ class TestStoreCounters:
         store.get("0" * 16)
         assert store.misses == 2
         assert [e.kind for e in events] == ["store.miss"]
-
-
-# --------------------------------------------------------------------------- #
-# Monotonic lease staleness
-# --------------------------------------------------------------------------- #
-class TestLeaseStaleness:
-    def test_future_wall_heartbeat_clamps_to_zero(self):
-        # A skewed peer stamped its heartbeat "in the future": the age must
-        # clamp at zero (fresh), never go negative.
-        lease = PointLease(
-            worker="peer", pid=1, acquired_at=time.time(),
-            heartbeat_at=time.time() + 300.0, clock_id="other-boot",
-        )
-        assert lease.age_s() == 0.0
-        assert not lease.expired(5.0)
-
-    def test_monotonic_delta_wins_over_wall_clock(self):
-        from repro.sweep.distributed import _CLOCK_ID
-
-        now_mono = time.monotonic()
-        # Wall clock says "100s stale" but the monotonic stamp is fresh:
-        # an NTP step back cannot fake a dead worker.
-        fresh = PointLease(
-            worker="w", pid=1, acquired_at=time.time() - 100.0,
-            heartbeat_at=time.time() - 100.0,
-            heartbeat_mono=now_mono, clock_id=_CLOCK_ID,
-        )
-        assert fresh.age_s() < 5.0
-        assert not fresh.expired(30.0)
-        # Wall clock says "fresh" but the monotonic stamp is 100s old: an
-        # NTP step forward cannot keep a dead worker's lease alive.
-        stale = PointLease(
-            worker="w", pid=1, acquired_at=time.time(),
-            heartbeat_at=time.time(),
-            heartbeat_mono=now_mono - 100.0, clock_id=_CLOCK_ID,
-        )
-        assert stale.age_s() >= 100.0
-        assert stale.expired(30.0)
-
-    def test_wall_fallback_for_other_clock_domains(self):
-        lease = PointLease(
-            worker="w", pid=1, acquired_at=time.time() - 120.0,
-            heartbeat_at=time.time() - 120.0,
-            heartbeat_mono=time.monotonic(), clock_id="some-other-machine",
-        )
-        assert lease.age_s() >= 119.0
-
-    def test_legacy_lease_json_round_trips(self):
-        legacy = json.dumps(
-            {"worker": "old", "pid": 3, "acquired_at": 1.0, "heartbeat_at": 2.0}
-        )
-        lease = PointLease.from_json(legacy)
-        assert lease.heartbeat_mono is None and lease.clock_id == ""
-        back = PointLease.from_json(lease.to_json())
-        assert back == lease
-
-    def test_fresh_lease_stamps_monotonic(self, tmp_path):
-        from repro.sweep.distributed import _CLOCK_ID, SweepWorkQueue
-
-        queue = SweepWorkQueue(tmp_path / "q", n_points=1)
-        queue.initialize()
-        assert queue.claim("w0") == 0
-        lease = PointLease.from_json(queue.lease_path(0).read_text())
-        assert lease.heartbeat_mono is not None
-        assert lease.clock_id == _CLOCK_ID
-        assert lease.age_s() < 5.0
 
 
 # --------------------------------------------------------------------------- #
