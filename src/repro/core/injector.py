@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.fault_models import FaultModel, StuckAtFault, TransientBitFlip
-from repro.core.sites import BufferSelector, FaultPattern
+from repro.core.sites import BufferSelector, FaultPattern, apply_patterns_stacked
 from repro.nn.buffers import QuantizedExecutor
 from repro.nn.layers import Layer
 from repro.quant.qtensor import QTensor
@@ -223,11 +223,20 @@ class ActivationFaultInjector:
             return True
         return layer.name in self.layer_names
 
-    def __call__(self, tensor: QTensor, layer: Optional[Layer]) -> None:
+    def pattern(self, tensor: QTensor, layer: Optional[Layer]) -> Optional[FaultPattern]:
+        """This pass's fault pattern for ``tensor``, without applying it.
+
+        Returns ``None`` when ``layer`` is not targeted.  Transient mode
+        samples fresh sites; permanent mode returns the buffer's pattern,
+        sampled on first use and resampled when it no longer fits.  Counts
+        the injection.  Only the buffer's name, size and format are read,
+        so a stacked fan-out can pass one unit-shaped template for all
+        replicas.
+        """
         if not self._targets(layer):
-            return
+            return None
         if self.mode == "transient":
-            self.fault_model.inject(tensor, self.rng)
+            pattern = self.fault_model.sample_pattern(tensor, self.rng)
         else:
             pattern = self._patterns.get(tensor.name)
             if pattern is not None and pattern.element_indices.max(initial=-1) >= tensor.size:
@@ -245,8 +254,13 @@ class ActivationFaultInjector:
             if pattern is None:
                 pattern = self.fault_model.sample_pattern(tensor, self.rng)
                 self._patterns[tensor.name] = pattern
-            pattern.apply(tensor)
         self.injection_count += 1
+        return pattern
+
+    def __call__(self, tensor: QTensor, layer: Optional[Layer]) -> None:
+        pattern = self.pattern(tensor, layer)
+        if pattern is not None:
+            pattern.apply(tensor)
 
 
 class InputFaultInjector:
@@ -261,11 +275,22 @@ class InputFaultInjector:
         self.rng = rng or np.random.default_rng()
         self.injection_count = 0
 
-    def __call__(self, tensor: QTensor, layer: Optional[Layer]) -> None:
+    def pattern(self, tensor: QTensor, layer: Optional[Layer]) -> Optional[FaultPattern]:
+        """This pass's fault pattern for the input buffer, without applying it.
+
+        Returns ``None`` for activation buffers (``layer`` is not ``None``).
+        Counts the injection; reads only the buffer's name, size and format.
+        """
         if layer is not None:
-            return
-        self.fault_model.inject(tensor, self.rng)
+            return None
+        pattern = self.fault_model.sample_pattern(tensor, self.rng)
         self.injection_count += 1
+        return pattern
+
+    def __call__(self, tensor: QTensor, layer: Optional[Layer]) -> None:
+        pattern = self.pattern(tensor, layer)
+        if pattern is not None:
+            pattern.apply(tensor)
 
 
 class ReplicaFanoutHook:
@@ -274,11 +299,13 @@ class ReplicaFanoutHook:
     The batched executor passes its hooks one ``(k, ...)`` stacked
     :class:`~repro.quant.qtensor.QTensor` covering the ``k`` active replicas
     of a forward pass, while the scalar injectors
-    (:class:`ActivationFaultInjector`, :class:`InputFaultInjector`) expect
-    one scalar-shaped buffer.  This hook slices the stack row by row, runs
-    replica ``r``'s own injector on a scalar-shaped view of its row, and
-    writes the mutated bits back — so each replica consumes its trial RNG
-    and caches its permanent patterns exactly as the scalar executor would.
+    (:class:`ActivationFaultInjector`, :class:`InputFaultInjector`) sample
+    patterns for one scalar-shaped buffer.  This hook asks replica ``r``'s
+    own injector for its pattern (``hook.pattern(unit, layer)``) against a
+    unit-shaped template of the buffer — so each replica consumes its trial
+    RNG, counts its injections and caches its permanent patterns exactly as
+    the scalar executor would — and applies every replica's pattern to the
+    stack in one :func:`~repro.core.sites.apply_patterns_stacked` call.
 
     Call :meth:`set_replicas` with the active replica indices before every
     forward pass (the batched rollout policy does this); row ``j`` of the
@@ -294,17 +321,17 @@ class ReplicaFanoutHook:
         self._replicas = np.asarray(indices, dtype=np.intp)
 
     def __call__(self, tensor: QTensor, layer: Optional[Layer]) -> None:
-        raw = tensor.raw
-        if raw.shape[0] != self._replicas.size:
+        shape = tensor.shape
+        if shape[0] != self._replicas.size:
             raise ValueError(
-                f"stacked buffer has {raw.shape[0]} rows for "
+                f"stacked buffer has {shape[0]} rows for "
                 f"{self._replicas.size} active replicas"
             )
-        for j, replica in enumerate(self._replicas):
-            row = QTensor.from_raw(raw[j], tensor.qformat, name=tensor.name)
-            self.hooks[int(replica)](row, layer)
-            raw[j] = row.raw
-        tensor.raw = raw
+        unit = QTensor.from_raw(
+            np.zeros(shape[1:], dtype=np.int64), tensor.qformat, name=tensor.name
+        )
+        patterns = [self.hooks[r].pattern(unit, layer) for r in self._replicas.tolist()]
+        apply_patterns_stacked(patterns, tensor)
 
 
 def inject_weight_faults(

@@ -14,6 +14,13 @@ The inference panels implement the batched-execution protocol
 *replicas* evaluated through stacked quantized buffers and the replica-axis
 vectorized drone environment (:class:`~repro.envs.drone.DroneNavEnvBatch`),
 bit-identical to serial execution (``tests/test_batched_parity.py``).
+
+At BER 0 an inference trial injects nothing, and its RNG depends only on
+the campaign seed and trial index, so every fault location (7c) or layer
+(7d) runs the same fault-free campaign.  Each panel runs it once per
+environment (7b), per data type (7e) or once in all (7c, 7d) through
+:func:`~repro.experiments.common.run_fault_campaign`, and its BER-0 rows
+share that result.
 """
 
 from __future__ import annotations
@@ -40,7 +47,6 @@ from repro.experiments.common import (
     DronePolicyBundle,
     build_drone_bundle,
     evaluate_drone_msf,
-    run_campaign,
     run_fault_campaign,
 )
 from repro.experiments.config import (
@@ -273,15 +279,19 @@ def run_environment_comparison(
     repetitions = execution.resolve_repetitions(config.repetitions)
     bundle = build_drone_bundle(config, seed=seed)
     table = ResultTable(title="Fig7b drone inference: environment comparison")
+    fault_free = {}
     for env_name in environments:
         for ber in bit_error_rates:
             trial = _DroneMSFTrial(
                 bundle, env_name, weight_fault=TransientBitFlip(ber)
             )
-            result = run_campaign(
+            result = run_fault_campaign(
                 Campaign(f"fig7b-{env_name}-ber{ber}", repetitions, seed=seed + 1),
                 trial,
+                ber,
+                fault_free,
                 execution=execution,
+                key=env_name,
             )
             table.add(
                 environment=env_name,
@@ -319,6 +329,7 @@ def run_fault_location_sweep(
     bundle = build_drone_bundle(config, seed=seed)
     table = ResultTable(title="Fig7c drone inference: fault location")
     locations = ("input", "weight", "activation-transient", "activation-permanent")
+    fault_free = {}
     for location in locations:
         for ber in bit_error_rates:
             weight_fault = None
@@ -343,9 +354,11 @@ def run_fault_location_sweep(
                 activation_mode=activation_mode,
                 input_fault=input_fault,
             )
-            result = run_campaign(
+            result = run_fault_campaign(
                 Campaign(f"fig7c-{location}-ber{ber}", repetitions, seed=seed + 2),
                 trial,
+                ber,
+                fault_free,
                 execution=execution,
             )
             table.add(
@@ -384,6 +397,7 @@ def run_layer_sweep(
     repetitions = execution.resolve_repetitions(config.repetitions)
     bundle = build_drone_bundle(config, seed=seed)
     table = ResultTable(title="Fig7d drone inference: per-layer sensitivity")
+    fault_free = {}
     for layer in layers:
         for ber in bit_error_rates:
             trial = _DroneMSFTrial(
@@ -392,9 +406,11 @@ def run_layer_sweep(
                 weight_fault=TransientBitFlip(ber),
                 weight_selector=BufferSelector.for_layer(layer),
             )
-            result = run_campaign(
+            result = run_fault_campaign(
                 Campaign(f"fig7d-{layer}-ber{ber}", repetitions, seed=seed + 3),
                 trial,
+                ber,
+                fault_free,
                 execution=execution,
             )
             table.add(
@@ -433,6 +449,7 @@ def run_datatype_sweep(
     repetitions = execution.resolve_repetitions(config.repetitions)
     bundle = build_drone_bundle(config, seed=seed)
     table = ResultTable(title="Fig7e drone inference: data type")
+    fault_free = {}
     for qformat in qformats:
         for ber in bit_error_rates:
             trial = _DroneMSFTrial(
@@ -441,10 +458,13 @@ def run_datatype_sweep(
                 qformat=qformat,
                 weight_fault=TransientBitFlip(ber),
             )
-            result = run_campaign(
+            result = run_fault_campaign(
                 Campaign(f"fig7e-{qformat}-ber{ber}", repetitions, seed=seed + 4),
                 trial,
+                ber,
+                fault_free,
                 execution=execution,
+                key=qformat,
             )
             table.add(
                 qformat=str(qformat),

@@ -76,7 +76,10 @@ class Layer:
         pass (see the ``QFormat`` fused helpers).  The default composes the two
         steps, which is exactly what the executor's per-layer quantize hook
         used to do, so overriding is purely an optimization — results must
-        stay bit-identical.
+        stay bit-identical.  ``x`` is already on the ``qformat`` grid (the
+        quantized input or the previous layer's quantized output), so layers
+        that only select or move values (ReLU, max-pooling, flatten) skip
+        the codec.
         """
         return qformat.quantize(self.forward_replicas(x, params=params))
 
@@ -380,10 +383,20 @@ class MaxPool2D(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         batch, channels, height, width = x.shape
-        out_h = (height - self.pool_size) // self.stride + 1
-        out_w = (width - self.pool_size) // self.stride + 1
-        windows = _pool_windows(x, out_h, out_w, self.pool_size, self.stride)
-        out = windows.max(axis=(4, 5))
+        size, stride = self.pool_size, self.stride
+        out_h = (height - size) // stride + 1
+        out_w = (width - size) // stride + 1
+        h_span = stride * (out_h - 1) + 1
+        w_span = stride * (out_w - 1) + 1
+        # Fold np.maximum over the size**2 window offsets, each one strided
+        # slice of the whole input, in row-major window order: a few flat
+        # elementwise passes instead of a reduction over a 6-D window view.
+        out = x[:, :, 0:h_span:stride, 0:w_span:stride].copy()
+        for pi in range(size):
+            for pj in range(size):
+                if pi or pj:
+                    window = x[:, :, pi : pi + h_span : stride, pj : pj + w_span : stride]
+                    np.maximum(out, window, out=out)
         if training:
             self._cache = (x, out.shape)
         return out
@@ -396,6 +409,13 @@ class MaxPool2D(Layer):
         folded = x.reshape(replicas * batch, *x.shape[2:])
         out = self.forward(folded, training=False)
         return out.reshape(replicas, batch, *out.shape[1:])
+
+    def forward_replicas_quantized(
+        self, x: np.ndarray, params: Optional[Dict[str, np.ndarray]], qformat
+    ) -> np.ndarray:
+        # The maximum of on-grid values is one of them: requantizing it is
+        # the identity.
+        return self.forward_replicas(x, params)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
@@ -450,7 +470,9 @@ class ReLU(Layer):
     def forward_replicas_quantized(
         self, x: np.ndarray, params: Optional[Dict[str, np.ndarray]], qformat
     ) -> np.ndarray:
-        return qformat.relu_quantize(np.asarray(x, dtype=np.float64))
+        # relu of an on-grid value is that value or +0.0, both on the grid
+        # (quantize never yields -0.0): requantizing is the identity.
+        return self.forward_replicas(x, params)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -481,6 +503,12 @@ class Flatten(Layer):
     ) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         return x.reshape(x.shape[0], x.shape[1], -1)
+
+    def forward_replicas_quantized(
+        self, x: np.ndarray, params: Optional[Dict[str, np.ndarray]], qformat
+    ) -> np.ndarray:
+        # A reshape of on-grid values: requantizing is the identity.
+        return self.forward_replicas(x, params)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._input_shape is None:

@@ -103,7 +103,7 @@ class QTensor:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self._shape)) if self._shape else 1
+        return self._raw.size
 
     @property
     def values(self) -> np.ndarray:

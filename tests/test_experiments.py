@@ -250,6 +250,40 @@ PERMANENT_SWEEPS = {
 }
 
 
+#: Fig. 7 inference panels at BERs 0 and 0.01: driver -> (run, the column
+#: each BER-0 campaign is keyed on or None, BER-0 campaigns it runs).
+DRONE_INFERENCE_SWEEPS = {
+    "fig7b": (
+        lambda config, execution: fig7_drone.run_environment_comparison(
+            config, [0.0, 0.01], execution=execution
+        ),
+        "environment",
+        2,
+    ),
+    "fig7c": (
+        lambda config, execution: fig7_drone.run_fault_location_sweep(
+            config, [0.0, 0.01], execution=execution
+        ),
+        None,
+        1,
+    ),
+    "fig7d": (
+        lambda config, execution: fig7_drone.run_layer_sweep(
+            config, [0.0, 0.01], layers=("conv1", "fc1", "fc2"), execution=execution
+        ),
+        None,
+        1,
+    ),
+    "fig7e": (
+        lambda config, execution: fig7_drone.run_datatype_sweep(
+            config, [0.0, 0.01], execution=execution
+        ),
+        "qformat",
+        3,
+    ),
+}
+
+
 class TestFaultFreeCampaigns:
     @pytest.fixture(scope="class")
     def tiny_tabular(self):
@@ -300,6 +334,35 @@ class TestFaultFreeCampaigns:
 
         before = executed_trial_count()
         resumed = run(tiny_tabular, execution.replace(resume=True))
+        assert executed_trial_count() - before == 0
+        assert resumed.to_json_dict() == table.to_json_dict()
+
+    @pytest.mark.parametrize("driver", sorted(DRONE_INFERENCE_SWEEPS))
+    def test_drone_inference_rows_share_the_fault_free_campaign(
+        self, driver, fast_drone, drone_bundle, tmp_path
+    ):
+        run, key_column, fault_free_campaigns = DRONE_INFERENCE_SWEEPS[driver]
+        execution = ExecutionConfig(seed=0, repetitions=2, checkpoint_dir=tmp_path)
+        before = executed_trial_count()
+        table = run(fast_drone, execution)
+        executed = executed_trial_count() - before
+        faulty = [row for row in table.rows if row["bit_error_rate"] > 0]
+        clean = [row for row in table.rows if row["bit_error_rate"] == 0]
+        assert len(clean) == len(faulty) > 1
+        # Every faulty campaign runs; each key's BER-0 campaign runs once.
+        assert executed == 2 * (len(faulty) + fault_free_campaigns)
+        if key_column is None:
+            # Every location or layer reports the one fault-free campaign.
+            kept = [
+                {k: v for k, v in row.items() if k not in ("location", "layer")}
+                for row in clean
+            ]
+            assert all(row == kept[0] for row in kept)
+        else:
+            assert len({row[key_column] for row in clean}) == fault_free_campaigns
+
+        before = executed_trial_count()
+        resumed = run(fast_drone, execution.replace(resume=True))
         assert executed_trial_count() - before == 0
         assert resumed.to_json_dict() == table.to_json_dict()
 

@@ -20,8 +20,9 @@ from repro.core import (
     make_fault_model,
 )
 from repro.core.campaign import default_repetitions
-from repro.core.injector import inject_weight_faults
+from repro.core.injector import ReplicaFanoutHook, inject_weight_faults
 from repro.envs import make_gridworld
+from repro.nn import Dense, ReLU
 from repro.nn.buffers import QuantizedExecutor
 from repro.policies import build_grid_q_network
 from repro.quant import Q8_GRID, Q16_NARROW, QTensor
@@ -312,6 +313,77 @@ class TestActivationPatternResampling:
         executor.forward(np.eye(10)[:4])
         assert injector.resample_count == 0
         assert all(injector._patterns[k] is v for k, v in first_patterns.items())
+
+
+def _fanout_reference(hooks, replicas, tensor: QTensor, layer) -> None:
+    """The per-replica loop ``ReplicaFanoutHook`` ran before it stacked its
+    patterns: each replica's own hook on a scalar copy of its row, written
+    back.  Kept as the oracle."""
+    raw = tensor.raw
+    for j, replica in enumerate(replicas):
+        row = QTensor.from_raw(raw[j], tensor.qformat, name=tensor.name)
+        hooks[replica](row, layer)
+        raw[j] = row.raw
+    tensor.raw = raw
+
+
+FANOUT_HOOKS = {
+    "act-transient": lambda rng: ActivationFaultInjector(
+        TransientBitFlip(0.05), layer_names=["fc1", "fc2"], rng=rng
+    ),
+    "act-permanent": lambda rng: ActivationFaultInjector(
+        StuckAtFault(0.05, stuck_value=1), mode="permanent", rng=rng
+    ),
+    "input": lambda rng: InputFaultInjector(TransientBitFlip(0.05), rng=rng),
+}
+
+
+class TestReplicaFanoutMatchesScalarHooks:
+    """One stacked apply per buffer equals every replica's own scalar hook."""
+
+    N_REPLICAS = 4
+    # (active replicas, per-replica batch): the full stack, a subset after
+    # set_replicas, a subset whose buffers shrank (permanent patterns stop
+    # fitting and resample), and the full stack again.
+    PASSES = [([0, 1, 2, 3], 4), ([2, 0, 3], 4), ([3, 1], 1), ([0, 1, 2, 3], 4)]
+
+    def make_hooks(self, case):
+        return [
+            FANOUT_HOOKS[case](np.random.default_rng(100 + r))
+            for r in range(self.N_REPLICAS)
+        ]
+
+    @pytest.mark.parametrize("case", sorted(FANOUT_HOOKS))
+    def test_stacked_fanout_equals_per_replica_hooks(self, case, caplog):
+        stacked_hooks, scalar_hooks = self.make_hooks(case), self.make_hooks(case)
+        fanout = ReplicaFanoutHook(stacked_hooks)
+        data = np.random.default_rng(0)
+        layers = [None, Dense(6, 6, name="fc1"), ReLU(name="relu1"), Dense(6, 6, name="fc2")]
+        with caplog.at_level("WARNING", logger="repro.core.injector"):
+            for replicas, batch in self.PASSES:
+                fanout.set_replicas(replicas)
+                for layer in layers:
+                    name = "input" if layer is None else f"activation:{layer.name}"
+                    values = data.uniform(-20, 20, size=(len(replicas), batch, 6))
+                    stacked = QTensor(values, Q16_NARROW, name=name)
+                    expected = QTensor(values, Q16_NARROW, name=name)
+                    fanout(stacked, layer)
+                    _fanout_reference(scalar_hooks, replicas, expected, layer)
+                    assert np.array_equal(stacked.raw, expected.raw)
+        for got, want in zip(stacked_hooks, scalar_hooks):
+            assert got.rng.bit_generator.state == want.rng.bit_generator.state
+            assert got.injection_count == want.injection_count > 0
+            assert getattr(got, "resample_count", 0) == getattr(want, "resample_count", 0)
+        resamples = sum(getattr(h, "resample_count", 0) for h in stacked_hooks)
+        assert (resamples > 0) == (case == "act-permanent")
+        warnings = [r for r in caplog.records if "resampling fault sites" in r.message]
+        assert len(warnings) == 2 * resamples
+
+    def test_row_count_must_match_active_replicas(self):
+        fanout = ReplicaFanoutHook(self.make_hooks("input"))
+        fanout.set_replicas([0, 2])
+        with pytest.raises(ValueError, match="3 rows for 2 active replicas"):
+            fanout(QTensor(np.zeros((3, 1, 6)), Q16_NARROW, name="input"), None)
 
 
 def _all_sites_pattern(tensor: QTensor, stuck_value=None) -> FaultPattern:

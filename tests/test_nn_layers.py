@@ -5,7 +5,9 @@ import pytest
 
 from repro.nn import Adam, Conv2D, Dense, Flatten, MaxPool2D, ReLU, Sequential, SGD
 from repro.nn.initializers import fan_in_out, glorot_uniform, he_uniform
+from repro.nn.layers import _pool_windows
 from repro.nn.losses import huber_loss, mse_loss
+from repro.quant import Q16_NARROW, QFormat
 
 
 def numerical_gradient(func, array, eps=1e-5):
@@ -237,6 +239,71 @@ class TestBackwardMatchesReferenceLoops:
         grad_out = rng.normal(size=out.shape)
         grad = layer.backward(grad_out)
         assert np.array_equal(grad, reference_pool_input_grad(layer, x, grad_out))
+
+
+def reference_maxpool_forward(layer, x):
+    """``MaxPool2D.forward`` as one max over the 6-D window view; the oracle
+    for the offset fold that replaced it."""
+    size, stride = layer.pool_size, layer.stride
+    out_h = (x.shape[2] - size) // stride + 1
+    out_w = (x.shape[3] - size) // stride + 1
+    return _pool_windows(x, out_h, out_w, size, stride).max(axis=(4, 5))
+
+
+POOL_INPUTS = {
+    "normal": lambda rng, shape: rng.normal(size=shape),
+    "negative": lambda rng, shape: -rng.uniform(1.0, 5.0, size=shape),
+    "tied": lambda rng, shape: rng.integers(-2, 2, size=shape).astype(float),
+    "nan-inf": lambda rng, shape: rng.choice(
+        np.array([np.nan, np.inf, -np.inf, 1.5, -2.0]), size=shape
+    ),
+    "signed-zero": lambda rng, shape: rng.choice(np.array([0.0, -0.0, -1.0]), size=shape),
+}
+
+
+class TestMaxPoolForwardMatchesWindowMax:
+    @pytest.mark.parametrize(
+        "size, stride", [(2, 2), (1, 1), (3, 2), (2, 1), (3, 3), (3, 1), (4, 3)]
+    )
+    @pytest.mark.parametrize("kind", sorted(POOL_INPUTS))
+    def test_equals_window_max(self, size, stride, kind):
+        rng = np.random.default_rng(10 * size + stride)
+        layer = MaxPool2D(size, stride=stride)
+        for shape in [(3, 2, 8, 9), (1, 1, 7, 5), (2, 3, size, size)]:
+            x = POOL_INPUTS[kind](rng, shape)
+            out = layer.forward(x)
+            expected = reference_maxpool_forward(layer, x)
+            assert out.shape == expected.shape
+            if kind == "signed-zero":
+                # numpy's max reduction leaves which zero of a tied -0.0/+0.0
+                # window it returns to its loop order, so only the value is
+                # pinned (no program path feeds -0.0 into a pool: ReLU and
+                # quantize emit +0.0).
+                assert np.array_equal(out, expected)
+            else:
+                assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+
+
+class TestGridPreservingLayersSkipTheCodec:
+    """ReLU, max-pooling and flatten forward on-grid inputs without requantizing."""
+
+    @pytest.mark.parametrize("qformat", [Q16_NARROW, QFormat(1, 3, 4)], ids=str)
+    @pytest.mark.parametrize(
+        "layer",
+        [ReLU(), MaxPool2D(2), MaxPool2D(3, stride=1), Flatten()],
+        ids=["relu", "pool2", "pool3s1", "flatten"],
+    )
+    def test_fused_equals_quantized_forward(self, layer, qformat):
+        rng = np.random.default_rng(3)
+        # Out-of-range values saturate to the format's extremes, and NaN
+        # quantizes to the minimum: the grid's edge cases are all present.
+        raw = rng.normal(scale=2 * qformat.max_value, size=(3, 2, 4, 7, 7))
+        raw.reshape(-1)[:5] = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+        with np.errstate(invalid="ignore"):
+            x = qformat.quantize(raw)
+        fused = layer.forward_replicas_quantized(x, None, qformat)
+        expected = qformat.quantize(layer.forward_replicas(x))
+        assert np.array_equal(fused.view(np.int64), expected.view(np.int64))
 
 
 class TestLossesAndInitializers:
