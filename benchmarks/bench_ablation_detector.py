@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the anomaly-detector design choices (DESIGN.md Sec. 6)."""
+"""Ablation benchmarks for the design choices of the range-based anomaly detector."""
 
 import numpy as np
 import pytest

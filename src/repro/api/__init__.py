@@ -19,8 +19,9 @@ seed / scale knob::
 
 The same registry drives the CLI (``python -m repro <figure>`` and
 ``python -m repro list``), so anything expressible as a flag is expressible
-programmatically and vice versa.  The per-driver ``run_*`` functions remain
-as deprecated shims delegating to the same machinery.
+programmatically and vice versa.  The figure drivers (the ``run_*``
+functions in :mod:`repro.experiments`) take the same config as their
+keyword-only ``execution`` argument.
 """
 
 from __future__ import annotations
@@ -31,12 +32,11 @@ import time
 from typing import Any, Iterator, List, Mapping, Optional
 
 from repro.api.artifact import ExperimentArtifact
-from repro.api.execution import ExecutionConfig, resolve_execution
+from repro.api.execution import ExecutionConfig
 
 __all__ = [
     "ExecutionConfig",
     "ExperimentArtifact",
-    "resolve_execution",
     "run",
     "sweep",
     "get_spec",

@@ -1,11 +1,11 @@
 """The unified execution configuration for experiment campaigns.
 
-Every experiment driver used to thread the same six knobs (``seed``,
+:class:`ExecutionConfig` bundles the campaign knobs (``seed``,
 ``repetitions``, ``workers``, ``batch_size``, ``checkpoint_dir``,
-``resume``) down to :func:`repro.experiments.common.run_campaign` by hand.
-:class:`ExecutionConfig` bundles them into one frozen, validated object and
-is the single place the declarative API resolves the campaign environment
-variables (``REPRO_CAMPAIGN_WORKERS`` / ``REPRO_CAMPAIGN_BATCH`` /
+``resume``, ``scale``) into one frozen, validated object.  It is the only
+way an experiment driver or :func:`repro.experiments.common.run_campaign`
+learns them, and the single place the declarative API resolves the campaign
+environment variables (``REPRO_CAMPAIGN_WORKERS`` / ``REPRO_CAMPAIGN_BATCH`` /
 ``REPRO_SCALE``; ``REPRO_CAMPAIGN_REPS`` stays with the config presets via
 :func:`repro.core.campaign.default_repetitions`).
 
@@ -14,11 +14,6 @@ environment"; :meth:`ExecutionConfig.resolved` pins the environment-derived
 values so a run's provenance (recorded in
 :class:`~repro.api.artifact.ExperimentArtifact`) shows the engine that
 actually executed.
-
-:func:`resolve_execution` is the compatibility shim used by the legacy
-``run_*`` driver signatures: it folds the old per-driver keyword knobs into
-an :class:`ExecutionConfig` (warning that the keywords are deprecated) and
-rejects the ambiguous case where both styles are mixed.
 """
 
 from __future__ import annotations
@@ -26,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import operator
 import os
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
@@ -34,7 +28,7 @@ from typing import Any, Dict, Optional, Union
 from repro.core.envvars import parse_positive_int
 from repro.core.runner import CampaignRunner, default_batch_size, default_workers
 
-__all__ = ["ExecutionConfig", "resolve_execution"]
+__all__ = ["ExecutionConfig"]
 
 
 @dataclass(frozen=True)
@@ -206,63 +200,3 @@ class ExecutionConfig:
 
 
 _FIELD_NAMES = {f.name for f in dataclasses.fields(ExecutionConfig)}
-
-#: Defaults of the legacy per-driver keyword knobs (``seed`` excluded — it
-#: predates the engine knobs and never needed migrating loudly).
-_LEGACY_DEFAULTS = {
-    "repetitions": None,
-    "workers": None,
-    "batch_size": None,
-    "checkpoint_dir": None,
-    "resume": False,
-}
-
-
-def resolve_execution(
-    execution: Optional[ExecutionConfig] = None,
-    *,
-    seed: Optional[int] = None,
-    repetitions: Optional[int] = None,
-    workers: Optional[Union[int, str]] = None,
-    batch_size: Optional[int] = None,
-    checkpoint_dir: Optional[Path] = None,
-    resume: bool = False,
-) -> ExecutionConfig:
-    """Fold a driver's legacy keyword knobs into one :class:`ExecutionConfig`.
-
-    Called at the top of every ``run_*`` driver: passing ``execution=`` is
-    the declarative path and wins outright; passing any of the legacy engine
-    keywords instead builds an equivalent config (with a
-    ``DeprecationWarning`` pointing at :func:`repro.api.run`).  Mixing both
-    styles is ambiguous and raises ``TypeError``.  ``seed=None`` means
-    "not supplied" (the drivers' own default) and resolves to 0, so an
-    explicit ``seed=0`` alongside ``execution=`` is still caught as mixing.
-    """
-    legacy = {
-        "repetitions": repetitions,
-        "workers": workers,
-        "batch_size": batch_size,
-        "checkpoint_dir": checkpoint_dir,
-        "resume": resume,
-    }
-    supplied = [name for name, value in legacy.items() if value != _LEGACY_DEFAULTS[name]]
-    if execution is not None:
-        if supplied or seed is not None:
-            raise TypeError(
-                "pass either execution=ExecutionConfig(...) or the legacy "
-                f"keyword knobs, not both (got execution= plus "
-                f"{', '.join(sorted(set(supplied) | ({'seed'} if seed is not None else set())))})"
-            )
-        return execution
-    # Validate before warning, so an invalid knob surfaces as its ValueError
-    # even under warnings-as-errors.
-    resolved = ExecutionConfig(seed=0 if seed is None else seed, **legacy)
-    if supplied:
-        warnings.warn(
-            f"the per-driver engine keywords ({', '.join(supplied)}) are "
-            "deprecated; pass execution=repro.api.ExecutionConfig(...) or use "
-            "repro.api.run() instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return resolved

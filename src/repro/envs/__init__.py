@@ -6,7 +6,8 @@ Two template problems from the paper:
   (Fig. 1), with the three obstacle-density presets.
 * :mod:`repro.envs.drone` — a procedural indoor-corridor drone navigation
   simulator standing in for the PEDRA / Unreal Engine environments of
-  Sec. 4.2 (see DESIGN.md for the substitution rationale).
+  Sec. 4.2, because a game-engine simulator cannot run in a numpy-only
+  reproduction.
 """
 
 from repro.envs.base import Environment

@@ -7,9 +7,8 @@ a privileged expert*: for any drone pose the expert scores each of the 25
 actions by the free-space distance along that action's heading (which it
 reads directly from the world geometry).  The C3F2 network is then trained
 to predict these per-action clearance scores from the camera image alone
-(see :func:`repro.rl.imitation.pretrain_drone_policy`), which yields the same
-kind of "turn toward open space" policy the paper's RL training produces.
-The substitution is documented in DESIGN.md.
+(see :func:`repro.experiments.common.build_drone_bundle`), which yields the
+same kind of "turn toward open space" policy the paper's RL training produces.
 """
 
 from __future__ import annotations

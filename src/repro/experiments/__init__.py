@@ -7,7 +7,7 @@ registers each experiment as a declarative
 :class:`~repro.experiments.registry.ExperimentSpec` — the preferred way to
 run them is :func:`repro.api.run` (or the registry-generated CLI).  The
 benchmark harness under ``benchmarks/`` calls these drivers and prints the
-resulting tables; EXPERIMENTS.md records paper-vs-measured values.
+resulting tables.
 
 Experiment sizes (repetitions, sweep densities, training lengths) are
 controlled by the config presets in :mod:`repro.experiments.config`; the

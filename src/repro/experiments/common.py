@@ -6,10 +6,9 @@ The drone policy is pre-trained once per process and cached, because every
 drone experiment (Fig. 7b-e, Fig. 10b) starts from the same clean policy.
 
 :func:`run_campaign` is the single entry point the drivers use to execute a
-campaign: it resolves the execution engine (serial by default, a process
-pool when ``workers`` / ``REPRO_CAMPAIGN_WORKERS`` asks for one) and wires
-up a per-campaign JSONL checkpoint under ``checkpoint_dir`` so interrupted
-sweeps can be resumed with ``resume=True``.
+campaign: it builds the engine an :class:`~repro.api.execution.ExecutionConfig`
+describes and wires up a per-campaign JSONL checkpoint under its
+``checkpoint_dir``, so an interrupted sweep resumes with ``resume=True``.
 """
 
 from __future__ import annotations
@@ -21,11 +20,10 @@ from typing import TYPE_CHECKING, Callable, Dict, Hashable, Iterable, Optional, 
 
 import numpy as np
 
-from repro.core.campaign import Campaign, CampaignResult, ProgressFn, TrialFn
+from repro.core.campaign import Campaign, CampaignResult, TrialFn
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only (api imports experiments)
     from repro.api.execution import ExecutionConfig
-from repro.core.runner import CampaignRunner
 from repro.io.results import CampaignCheckpoint
 
 from repro.envs.drone import DroneNavEnv, make_drone_env
@@ -78,50 +76,26 @@ def campaign_checkpoint_path(campaign_name: str, checkpoint_dir: Union[str, Path
 
 
 def run_campaign(
-    campaign: Campaign,
-    trial_fn: TrialFn,
-    *,
-    execution: Optional["ExecutionConfig"] = None,
-    runner: Optional[CampaignRunner] = None,
-    workers: Optional[int] = None,
-    batch_size: Optional[int] = None,
-    checkpoint_dir: Union[str, Path, None] = None,
-    resume: bool = False,
-    progress: Optional[ProgressFn] = None,
+    campaign: Campaign, trial_fn: TrialFn, *, execution: "ExecutionConfig"
 ) -> CampaignResult:
-    """Execute a campaign with the experiment-level runner / checkpoint knobs.
+    """Execute a campaign on the engine and checkpoint that ``execution`` names.
 
-    ``execution`` (an :class:`~repro.api.execution.ExecutionConfig`) is the
-    declarative form and supplies engine, checkpoint directory and resume
-    behaviour in one object; mixing it with the individual knobs raises.
-    Otherwise ``runner`` wins over ``workers`` / ``batch_size``; with
-    neither, the engine comes from ``REPRO_CAMPAIGN_WORKERS`` /
-    ``REPRO_CAMPAIGN_BATCH`` (serial by default).  ``batch_size > 1``
-    selects the batched engine, which vectorizes trial functions
-    implementing ``run_batch`` and falls back to scalar execution
-    otherwise.  When ``checkpoint_dir`` is given, outcomes stream to
-    ``<checkpoint_dir>/<campaign name>.jsonl`` and ``resume=True`` skips
-    trials already recorded there.
+    ``execution.batch_size > 1`` selects the batched engine, which vectorizes
+    trial functions implementing ``run_batch`` and falls back to scalar
+    execution otherwise.  When ``execution.checkpoint_dir`` is set, outcomes
+    stream to ``<checkpoint_dir>/<campaign name>.jsonl`` and
+    ``execution.resume`` skips trials already recorded there.
     """
-    if execution is not None:
-        if runner is not None or workers is not None or batch_size is not None \
-                or checkpoint_dir is not None or resume:
-            raise TypeError(
-                "run_campaign: pass either execution= or the individual "
-                "runner/workers/batch_size/checkpoint_dir/resume knobs, not both"
-            )
-        runner = execution.campaign_runner()
-        checkpoint_dir = execution.checkpoint_dir
-        resume = execution.resume
-    if runner is None:
-        runner = CampaignRunner(batch_size=batch_size, workers=workers)
     checkpoint = None
-    if checkpoint_dir is not None:
+    if execution.checkpoint_dir is not None:
         checkpoint = CampaignCheckpoint(
-            campaign_checkpoint_path(campaign.name, checkpoint_dir)
+            campaign_checkpoint_path(campaign.name, execution.checkpoint_dir)
         )
     return campaign.run(
-        trial_fn, runner=runner, progress=progress, checkpoint=checkpoint, resume=resume
+        trial_fn,
+        runner=execution.campaign_runner(),
+        checkpoint=checkpoint,
+        resume=execution.resume,
     )
 
 

@@ -10,11 +10,11 @@ and a 39% flight-quality improvement at high BER, at <3% runtime overhead.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.api.execution import ExecutionConfig, resolve_execution
+from repro.api.execution import ExecutionConfig
 from repro.core.campaign import Campaign, TrialOutcome
 from repro.core.fault_models import TransientBitFlip
 from repro.core.injector import inject_weight_faults
@@ -47,31 +47,11 @@ def run_gridworld_anomaly_mitigation(
     config: GridNNConfig,
     bit_error_rates: Sequence[float],
     margin: float = 0.1,
-    seed: Optional[int] = None,
-    repetitions: Optional[int] = None,
     episodes_per_trial: int = 5,
-    workers: Optional[int] = None,
-    batch_size: Optional[int] = None,
-    checkpoint_dir=None,
-    resume: bool = False,
     *,
-    execution: Optional[ExecutionConfig] = None,
+    execution: ExecutionConfig = ExecutionConfig(),
 ) -> ResultTable:
-    """Fig. 10a — Grid World NN inference success rate, mitigation on vs off.
-
-    ``batch_size`` selects the batched campaign engine; the detector-scrub
-    trials have no vectorized implementation yet, so batches fall back to
-    scalar execution (outcomes are unchanged either way).
-    """
-    execution = resolve_execution(
-        execution,
-        seed=seed,
-        repetitions=repetitions,
-        workers=workers,
-        batch_size=batch_size,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-    )
+    """Fig. 10a — Grid World NN inference success rate, mitigation on vs off."""
     seed = execution.seed
     repetitions = execution.resolve_repetitions(config.repetitions)
     rng = np.random.default_rng(seed)
@@ -124,30 +104,10 @@ def run_drone_anomaly_mitigation(
     config: DroneConfig,
     bit_error_rates: Sequence[float],
     margin: float = 0.1,
-    seed: Optional[int] = None,
-    repetitions: Optional[int] = None,
-    workers: Optional[int] = None,
-    batch_size: Optional[int] = None,
-    checkpoint_dir=None,
-    resume: bool = False,
     *,
-    execution: Optional[ExecutionConfig] = None,
+    execution: ExecutionConfig = ExecutionConfig(),
 ) -> ResultTable:
-    """Fig. 10b — drone flight distance under weight faults, mitigation on vs off.
-
-    ``batch_size`` selects the batched campaign engine; the drone trials
-    stay scalar behind it (no vectorized implementation), so batches fall
-    back to scalar execution with unchanged outcomes.
-    """
-    execution = resolve_execution(
-        execution,
-        seed=seed,
-        repetitions=repetitions,
-        workers=workers,
-        batch_size=batch_size,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-    )
+    """Fig. 10b — drone flight distance under weight faults, mitigation on vs off."""
     seed = execution.seed
     repetitions = execution.resolve_repetitions(config.repetitions)
     bundle = build_drone_bundle(config, seed=seed)

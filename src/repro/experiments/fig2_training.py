@@ -13,7 +13,7 @@ from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.api.execution import ExecutionConfig, resolve_execution
+from repro.api.execution import ExecutionConfig
 from repro.core.campaign import Campaign, TrialOutcome
 from repro.core.injector import PermanentTrainingFaultHook, TransientTrainingFaultHook
 from repro.core.sites import BufferSelector
@@ -69,25 +69,10 @@ def run_transient_training_heatmap(
     config: GridConfig,
     bit_error_rates: Sequence[float],
     injection_episodes: Sequence[int],
-    seed: Optional[int] = None,
-    repetitions: Optional[int] = None,
-    workers: Optional[int] = None,
-    checkpoint_dir=None,
-    resume: bool = False,
     *,
-    batch_size: Optional[int] = None,
-    execution: Optional[ExecutionConfig] = None,
+    execution: ExecutionConfig = ExecutionConfig(),
 ) -> ResultTable:
     """Success rate after training with a transient fault at each (BER, episode)."""
-    execution = resolve_execution(
-        execution,
-        seed=seed,
-        repetitions=repetitions,
-        workers=workers,
-        batch_size=batch_size,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-    )
     seed = execution.seed
     approach = "nn" if isinstance(config, GridNNConfig) else "tabular"
     repetitions = execution.resolve_repetitions(config.repetitions)
@@ -124,25 +109,10 @@ def run_transient_training_heatmap(
 def run_permanent_training_sweep(
     config: GridConfig,
     bit_error_rates: Sequence[float],
-    seed: Optional[int] = None,
-    repetitions: Optional[int] = None,
-    workers: Optional[int] = None,
-    checkpoint_dir=None,
-    resume: bool = False,
     *,
-    batch_size: Optional[int] = None,
-    execution: Optional[ExecutionConfig] = None,
+    execution: ExecutionConfig = ExecutionConfig(),
 ) -> ResultTable:
     """Success rate after training under stuck-at-0 / stuck-at-1 faults."""
-    execution = resolve_execution(
-        execution,
-        seed=seed,
-        repetitions=repetitions,
-        workers=workers,
-        batch_size=batch_size,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-    )
     seed = execution.seed
     approach = "nn" if isinstance(config, GridNNConfig) else "tabular"
     repetitions = execution.resolve_repetitions(config.repetitions)
@@ -177,14 +147,17 @@ def run_permanent_training_sweep(
 def run_value_histograms(
     tabular_config: Optional[GridTabularConfig] = None,
     nn_config: Optional[GridNNConfig] = None,
-    seed: int = 0,
+    *,
+    execution: ExecutionConfig = ExecutionConfig(),
 ) -> ResultTable:
     """Fig. 2b/2d — bit-level statistics of trained tabular values and NN weights.
 
     The paper reports ~76% zero bits for tabular values (3.18x more 0s than
     1s) and ~88% zero bits for NN weights (7.17x), which is why stuck-at-1
-    faults are so much more damaging for the NN policy.
+    faults are so much more damaging for the NN policy.  There is no
+    campaign here, so only the ``seed`` of ``execution`` is used.
     """
+    seed = execution.seed
     tabular_config = tabular_config or GridTabularConfig()
     nn_config = nn_config or GridNNConfig()
     table = ResultTable(title="Fig2b/2d value and bit histograms")

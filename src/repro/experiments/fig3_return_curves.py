@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.api.execution import ExecutionConfig, resolve_execution
+from repro.api.execution import ExecutionConfig
 from repro.core.injector import PermanentTrainingFaultHook, TransientTrainingFaultHook
 from repro.experiments.common import train_grid_nn, train_tabular
 from repro.experiments.config import (
@@ -84,17 +84,15 @@ def default_scenarios(total_episodes: int, approach: str) -> List[FaultScenario]
 def run_return_curves(
     config: GridConfig,
     scenarios: Optional[Sequence[FaultScenario]] = None,
-    seed: Optional[int] = None,
     smoothing_window: int = 25,
     *,
-    execution: Optional[ExecutionConfig] = None,
+    execution: ExecutionConfig = ExecutionConfig(),
 ) -> SeriesResult:
     """Train once per scenario and return the smoothed cumulative-return curves.
 
     There is no campaign here (one training run per scenario), so only the
     ``seed`` of an :class:`~repro.api.execution.ExecutionConfig` is used.
     """
-    execution = resolve_execution(execution, seed=seed)
     seed = execution.seed
     approach = "nn" if isinstance(config, GridNNConfig) else "tabular"
     scenarios = list(

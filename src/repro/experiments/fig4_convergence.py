@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.api.execution import ExecutionConfig, resolve_execution
+from repro.api.execution import ExecutionConfig
 from repro.core.campaign import Campaign, TrialOutcome
 from repro.core.injector import PermanentTrainingFaultHook, TransientTrainingFaultHook
 from repro.experiments.common import (
@@ -63,14 +63,8 @@ def run_transient_convergence(
     extra_episodes: Optional[int] = None,
     convergence_window: int = 50,
     convergence_threshold: float = 0.9,
-    seed: Optional[int] = None,
-    repetitions: Optional[int] = None,
-    workers: Optional[int] = None,
-    checkpoint_dir=None,
-    resume: bool = False,
     *,
-    batch_size: Optional[int] = None,
-    execution: Optional[ExecutionConfig] = None,
+    execution: ExecutionConfig = ExecutionConfig(),
 ) -> ResultTable:
     """Episodes needed to converge back after a late transient fault (Fig. 4a/4c).
 
@@ -78,15 +72,6 @@ def run_transient_convergence(
     length; training then continues for ``extra_episodes`` more episodes and
     the convergence point is measured on the post-injection success history.
     """
-    execution = resolve_execution(
-        execution,
-        seed=seed,
-        repetitions=repetitions,
-        workers=workers,
-        batch_size=batch_size,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-    )
     seed = execution.seed
     approach = "nn" if isinstance(config, GridNNConfig) else "tabular"
     repetitions = execution.resolve_repetitions(config.repetitions)
@@ -143,25 +128,10 @@ def run_permanent_extra_training(
     config: GridConfig,
     bit_error_rates: Sequence[float],
     extra_episode_grid: Sequence[int] = EXTRA_EPISODE_GRID,
-    seed: Optional[int] = None,
-    repetitions: Optional[int] = None,
-    workers: Optional[int] = None,
-    checkpoint_dir=None,
-    resume: bool = False,
     *,
-    batch_size: Optional[int] = None,
-    execution: Optional[ExecutionConfig] = None,
+    execution: ExecutionConfig = ExecutionConfig(),
 ) -> ResultTable:
     """Success rate after extended training under stuck-at faults (Fig. 4b/4d)."""
-    execution = resolve_execution(
-        execution,
-        seed=seed,
-        repetitions=repetitions,
-        workers=workers,
-        batch_size=batch_size,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-    )
     seed = execution.seed
     approach = "nn" if isinstance(config, GridNNConfig) else "tabular"
     repetitions = execution.resolve_repetitions(config.repetitions)

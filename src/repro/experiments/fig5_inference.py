@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.api.execution import ExecutionConfig, resolve_execution
+from repro.api.execution import ExecutionConfig
 from repro.core.campaign import Campaign, TrialOutcome
 from repro.core.evaluator import BatchedEvaluator
 from repro.core.fault_models import FaultModel, StuckAtFault, TransientBitFlip
@@ -303,33 +303,15 @@ def run_inference_fault_sweep(
     config: GridConfig,
     bit_error_rates: Sequence[float],
     fault_modes: Sequence[str] = INFERENCE_FAULT_MODES,
-    seed: Optional[int] = None,
-    repetitions: Optional[int] = None,
     episodes_per_trial: int = 5,
-    workers: Optional[int] = None,
-    batch_size: Optional[int] = None,
-    checkpoint_dir=None,
-    resume: bool = False,
     *,
-    execution: Optional[ExecutionConfig] = None,
+    execution: ExecutionConfig = ExecutionConfig(),
 ) -> ResultTable:
     """Success rate vs BER for each inference fault mode (Fig. 5a / 5b).
 
-    ``batch_size > 1`` (or ``REPRO_CAMPAIGN_BATCH``) selects the batched
-    campaign engine, which evaluates that many fault-injected policy
-    replicas per vectorized step; combined with ``workers`` the batches fan
-    out over a process pool.  All engine combinations produce bit-identical
-    tables for the same seed.
+    Every engine ``execution`` selects gives a bit-identical table for the
+    same seed.
     """
-    execution = resolve_execution(
-        execution,
-        seed=seed,
-        repetitions=repetitions,
-        workers=workers,
-        batch_size=batch_size,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-    )
     seed = execution.seed
     for mode in fault_modes:
         if mode not in INFERENCE_FAULT_MODES:

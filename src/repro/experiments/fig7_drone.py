@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.api.execution import ExecutionConfig, resolve_execution
+from repro.api.execution import ExecutionConfig
 from repro.core.campaign import Campaign, TrialOutcome
 from repro.core.evaluator import BatchedEvaluator
 from repro.core.fault_models import FaultModel, StuckAtFault, TransientBitFlip
@@ -256,25 +256,10 @@ def run_environment_comparison(
     config: DroneConfig,
     bit_error_rates: Sequence[float],
     environments: Sequence[str] = ("indoor-long", "indoor-vanleer"),
-    seed: Optional[int] = None,
-    repetitions: Optional[int] = None,
-    workers: Optional[int] = None,
-    checkpoint_dir=None,
-    resume: bool = False,
     *,
-    batch_size: Optional[int] = None,
-    execution: Optional[ExecutionConfig] = None,
+    execution: ExecutionConfig = ExecutionConfig(),
 ) -> ResultTable:
     """Fig. 7b — MSF vs BER for transient weight faults in each environment."""
-    execution = resolve_execution(
-        execution,
-        seed=seed,
-        repetitions=repetitions,
-        workers=workers,
-        batch_size=batch_size,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-    )
     seed = execution.seed
     repetitions = execution.resolve_repetitions(config.repetitions)
     bundle = build_drone_bundle(config, seed=seed)
@@ -305,25 +290,10 @@ def run_environment_comparison(
 def run_fault_location_sweep(
     config: DroneConfig,
     bit_error_rates: Sequence[float],
-    seed: Optional[int] = None,
-    repetitions: Optional[int] = None,
-    workers: Optional[int] = None,
-    checkpoint_dir=None,
-    resume: bool = False,
     *,
-    batch_size: Optional[int] = None,
-    execution: Optional[ExecutionConfig] = None,
+    execution: ExecutionConfig = ExecutionConfig(),
 ) -> ResultTable:
     """Fig. 7c — MSF vs BER per fault location (input / weight / act-T / act-P)."""
-    execution = resolve_execution(
-        execution,
-        seed=seed,
-        repetitions=repetitions,
-        workers=workers,
-        batch_size=batch_size,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-    )
     seed = execution.seed
     repetitions = execution.resolve_repetitions(config.repetitions)
     bundle = build_drone_bundle(config, seed=seed)
@@ -374,25 +344,10 @@ def run_layer_sweep(
     config: DroneConfig,
     bit_error_rates: Sequence[float],
     layers: Sequence[str] = C3F2_LAYER_NAMES,
-    seed: Optional[int] = None,
-    repetitions: Optional[int] = None,
-    workers: Optional[int] = None,
-    checkpoint_dir=None,
-    resume: bool = False,
     *,
-    batch_size: Optional[int] = None,
-    execution: Optional[ExecutionConfig] = None,
+    execution: ExecutionConfig = ExecutionConfig(),
 ) -> ResultTable:
     """Fig. 7d — MSF vs BER with transient weight faults confined to one layer."""
-    execution = resolve_execution(
-        execution,
-        seed=seed,
-        repetitions=repetitions,
-        workers=workers,
-        batch_size=batch_size,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-    )
     seed = execution.seed
     repetitions = execution.resolve_repetitions(config.repetitions)
     bundle = build_drone_bundle(config, seed=seed)
@@ -426,25 +381,10 @@ def run_datatype_sweep(
     config: DroneConfig,
     bit_error_rates: Sequence[float],
     qformats: Sequence[QFormat] = (Q16_NARROW, Q16_MID, Q16_WIDE),
-    seed: Optional[int] = None,
-    repetitions: Optional[int] = None,
-    workers: Optional[int] = None,
-    checkpoint_dir=None,
-    resume: bool = False,
     *,
-    batch_size: Optional[int] = None,
-    execution: Optional[ExecutionConfig] = None,
+    execution: ExecutionConfig = ExecutionConfig(),
 ) -> ResultTable:
     """Fig. 7e — MSF vs BER for each fixed-point weight data type."""
-    execution = resolve_execution(
-        execution,
-        seed=seed,
-        repetitions=repetitions,
-        workers=workers,
-        batch_size=batch_size,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-    )
     seed = execution.seed
     repetitions = execution.resolve_repetitions(config.repetitions)
     bundle = build_drone_bundle(config, seed=seed)
@@ -522,25 +462,10 @@ def run_drone_training_faults(
     config: DroneConfig,
     bit_error_rates: Sequence[float],
     injection_episodes: Optional[Sequence[int]] = None,
-    seed: Optional[int] = None,
-    repetitions: Optional[int] = None,
-    workers: Optional[int] = None,
-    checkpoint_dir=None,
-    resume: bool = False,
     *,
-    batch_size: Optional[int] = None,
-    execution: Optional[ExecutionConfig] = None,
+    execution: ExecutionConfig = ExecutionConfig(),
 ) -> ResultTable:
     """Fig. 7a — MSF after online fine-tuning with transient / stuck-at faults."""
-    execution = resolve_execution(
-        execution,
-        seed=seed,
-        repetitions=repetitions,
-        workers=workers,
-        batch_size=batch_size,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-    )
     seed = execution.seed
     repetitions = execution.resolve_repetitions(config.repetitions)
     bundle = build_drone_bundle(config, seed=seed)

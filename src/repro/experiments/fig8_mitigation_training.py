@@ -10,11 +10,11 @@ about 10%.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
-from repro.api.execution import ExecutionConfig, resolve_execution
+from repro.api.execution import ExecutionConfig
 from repro.core.campaign import Campaign, TrialOutcome
 from repro.core.injector import PermanentTrainingFaultHook, TransientTrainingFaultHook
 from repro.core.mitigation.exploration import AdaptiveExplorationController
@@ -75,25 +75,10 @@ def run_mitigated_transient_heatmap(
     bit_error_rates: Sequence[float],
     injection_episodes: Sequence[int],
     mitigation: bool = True,
-    seed: Optional[int] = None,
-    repetitions: Optional[int] = None,
-    workers: Optional[int] = None,
-    checkpoint_dir=None,
-    resume: bool = False,
     *,
-    batch_size: Optional[int] = None,
-    execution: Optional[ExecutionConfig] = None,
+    execution: ExecutionConfig = ExecutionConfig(),
 ) -> ResultTable:
     """Fig. 8 transient heatmap, with or without the mitigation controller."""
-    execution = resolve_execution(
-        execution,
-        seed=seed,
-        repetitions=repetitions,
-        workers=workers,
-        batch_size=batch_size,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-    )
     seed = execution.seed
     approach = "nn" if isinstance(config, GridNNConfig) else "tabular"
     repetitions = execution.resolve_repetitions(config.repetitions)
@@ -138,25 +123,10 @@ def run_mitigated_permanent_sweep(
     config: GridConfig,
     bit_error_rates: Sequence[float],
     mitigation: bool = True,
-    seed: Optional[int] = None,
-    repetitions: Optional[int] = None,
-    workers: Optional[int] = None,
-    checkpoint_dir=None,
-    resume: bool = False,
     *,
-    batch_size: Optional[int] = None,
-    execution: Optional[ExecutionConfig] = None,
+    execution: ExecutionConfig = ExecutionConfig(),
 ) -> ResultTable:
     """Fig. 8 stuck-at columns, with or without the mitigation controller."""
-    execution = resolve_execution(
-        execution,
-        seed=seed,
-        repetitions=repetitions,
-        workers=workers,
-        batch_size=batch_size,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-    )
     seed = execution.seed
     approach = "nn" if isinstance(config, GridNNConfig) else "tabular"
     repetitions = execution.resolve_repetitions(config.repetitions)

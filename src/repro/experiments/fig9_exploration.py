@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.api.execution import ExecutionConfig, resolve_execution
+from repro.api.execution import ExecutionConfig
 from repro.core.campaign import Campaign, TrialOutcome
 from repro.core.injector import PermanentTrainingFaultHook, TransientTrainingFaultHook
 from repro.experiments.common import (
@@ -52,30 +52,10 @@ def run_exploration_adjustment_sweep(
     config: GridConfig,
     bit_error_rates: Sequence[float],
     fault_types: Sequence[str] = ("transient", "stuck-at-0", "stuck-at-1"),
-    seed: Optional[int] = None,
-    repetitions: Optional[int] = None,
-    workers: Optional[int] = None,
-    batch_size: Optional[int] = None,
-    checkpoint_dir=None,
-    resume: bool = False,
     *,
-    execution: Optional[ExecutionConfig] = None,
+    execution: ExecutionConfig = ExecutionConfig(),
 ) -> ResultTable:
-    """Fig. 9a/9b — adjusted exploration ratio and episodes to steady exploitation.
-
-    ``batch_size`` selects the batched campaign engine; the training trials
-    here have no vectorized implementation, so batches fall back to scalar
-    execution (outcomes are unchanged either way).
-    """
-    execution = resolve_execution(
-        execution,
-        seed=seed,
-        repetitions=repetitions,
-        workers=workers,
-        batch_size=batch_size,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-    )
+    """Fig. 9a/9b — adjusted exploration ratio and episodes to steady exploitation."""
     seed = execution.seed
     approach = "nn" if isinstance(config, GridNNConfig) else "tabular"
     repetitions = execution.resolve_repetitions(config.repetitions)
@@ -149,16 +129,10 @@ def run_recovery_speed_correlation(
     config: GridConfig,
     exploration_boosts: Sequence[float] = (0.25, 0.5, 0.75),
     bit_error_rate: float = 0.006,
-    seed: Optional[int] = None,
-    repetitions: Optional[int] = None,
     recovery_threshold: float = 0.8,
     recovery_window: int = 25,
-    workers: Optional[int] = None,
-    batch_size: Optional[int] = None,
-    checkpoint_dir=None,
-    resume: bool = False,
     *,
-    execution: Optional[ExecutionConfig] = None,
+    execution: ExecutionConfig = ExecutionConfig(),
 ) -> ResultTable:
     """Fig. 9c — recovery time as a function of the (forced) exploration boost.
 
@@ -166,15 +140,6 @@ def run_recovery_speed_correlation(
     forced to each boost level, and the number of episodes until the windowed
     success rate recovers is measured.
     """
-    execution = resolve_execution(
-        execution,
-        seed=seed,
-        repetitions=repetitions,
-        workers=workers,
-        batch_size=batch_size,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-    )
     seed = execution.seed
     approach = "nn" if isinstance(config, GridNNConfig) else "tabular"
     repetitions = execution.resolve_repetitions(config.repetitions)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.api.execution import ExecutionConfig, resolve_execution
+from repro.api.execution import ExecutionConfig
 from repro.core.mitigation.anomaly import estimate_runtime_overhead
 from repro.experiments.config import (
     FAST_PARAM,
@@ -66,23 +66,10 @@ def run_headline_summary(
     drone_config: Optional[DroneConfig] = None,
     grid_bers: Sequence[float] = (0.0, 0.005, 0.01),
     drone_bers: Sequence[float] = (0.0, 1e-3, 1e-2),
-    seed: Optional[int] = None,
-    workers: Optional[int] = None,
-    checkpoint_dir=None,
-    resume: bool = False,
     *,
-    batch_size: Optional[int] = None,
-    execution: Optional[ExecutionConfig] = None,
+    execution: ExecutionConfig = ExecutionConfig(),
 ) -> ResultTable:
     """End-to-end headline summary (Sec. 5.2): 2x, +39%, <3% overhead."""
-    execution = resolve_execution(
-        execution,
-        seed=seed,
-        workers=workers,
-        batch_size=batch_size,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-    )
     grid_config = grid_config or GridNNConfig()
     drone_config = drone_config or DroneConfig()
 

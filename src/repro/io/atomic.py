@@ -1,10 +1,9 @@
 """Crash-safe text-file writes.
 
 :func:`atomic_write_text` is the single write primitive shared by everything
-that persists JSON to disk — the artifact store index, sweep worker leases,
+that persists JSON to disk — the artifact store's objects, journal and index,
 and the benchmark ``BENCH_*.json`` snapshots.  It lives in :mod:`repro.io`
-because it has no store-specific behaviour; :mod:`repro.store` re-exports it
-for backwards compatibility.
+because it has no store-specific behaviour.
 """
 
 from __future__ import annotations
@@ -30,15 +29,12 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-def atomic_write_text(path: Path, payload: str, *, durable: bool = True) -> None:
+def atomic_write_text(path: Path, payload: str) -> None:
     """Write ``payload`` to ``path`` via a same-directory temp file + replace.
 
-    With ``durable=True`` (the default) the temp file is flushed and
-    fsync'd before the replace and the parent directory is fsync'd after,
-    so a crash at any instant leaves either the old file or the complete
-    new one — never a truncated or empty object.  ``durable=False`` keeps
-    only the atomicity (used for high-churn transient files such as sweep
-    worker leases, where durability across power loss buys nothing).
+    The temp file is flushed and fsync'd before the replace and the parent
+    directory is fsync'd after, so a crash at any instant leaves either the
+    old file or the complete new one — never a truncated or empty object.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -46,12 +42,10 @@ def atomic_write_text(path: Path, payload: str, *, durable: bool = True) -> None
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(payload)
-            if durable:
-                handle.flush()
-                os.fsync(handle.fileno())
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp_name, path)
-        if durable:
-            _fsync_dir(path.parent)
+        _fsync_dir(path.parent)
     except BaseException:
         try:
             os.unlink(tmp_name)

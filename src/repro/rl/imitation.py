@@ -1,6 +1,6 @@
 """Supervised pre-training of the drone policy (offline-training substitute).
 
-``pretrain_drone_policy`` trains the C3F2 network to regress the privileged
+:func:`behaviour_clone` trains the C3F2 network to regress the privileged
 expert's per-action clearance scores from camera images.  The resulting
 network plays the role of the paper's offline-trained Double DQN policy: its
 argmax steers toward open space, and it can subsequently be fine-tuned online
@@ -14,13 +14,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.envs.drone.env import DroneNavEnv
-from repro.envs.drone.expert import GreedyDepthExpert, collect_dataset
 from repro.nn.losses import mse_loss
 from repro.nn.network import Sequential
 from repro.nn.optim import Adam
 
-__all__ = ["PretrainResult", "behaviour_clone", "pretrain_drone_policy"]
+__all__ = ["PretrainResult", "behaviour_clone"]
 
 
 @dataclass
@@ -70,26 +68,3 @@ def behaviour_clone(
         losses.append(float(np.mean(epoch_losses)))
     return PretrainResult(losses=losses)
 
-
-def pretrain_drone_policy(
-    network: Sequential,
-    env: DroneNavEnv,
-    num_samples: int = 400,
-    epochs: int = 20,
-    batch_size: int = 32,
-    learning_rate: float = 1e-3,
-    rng: Optional[np.random.Generator] = None,
-) -> PretrainResult:
-    """Pre-train a drone policy network against the privileged depth expert."""
-    rng = rng or np.random.default_rng()
-    expert = GreedyDepthExpert(env)
-    images, targets = collect_dataset(env, expert, num_samples, rng)
-    return behaviour_clone(
-        network,
-        images,
-        targets,
-        epochs=epochs,
-        batch_size=batch_size,
-        learning_rate=learning_rate,
-        rng=rng,
-    )

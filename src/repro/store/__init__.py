@@ -15,7 +15,6 @@ from repro.store.artifact_store import (
     ArtifactStore,
     StoreEntry,
     artifact_key,
-    atomic_write_text,
     default_store_root,
     resolve_store,
     validate_cache_policy,
@@ -28,7 +27,6 @@ __all__ = [
     "ArtifactStore",
     "StoreEntry",
     "artifact_key",
-    "atomic_write_text",
     "code_fingerprint",
     "clear_fingerprint_cache",
     "default_store_root",

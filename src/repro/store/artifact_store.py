@@ -92,7 +92,6 @@ __all__ = [
     "ArtifactStore",
     "StoreEntry",
     "artifact_key",
-    "atomic_write_text",
     "default_store_root",
     "resolve_store",
     "validate_cache_policy",

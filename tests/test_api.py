@@ -1,20 +1,19 @@
 """Tests for the declarative experiment API (repro.api).
 
-Covers the ExecutionConfig contract (validation, env resolution, the
-legacy-knob shim), the experiment registry, artifact serialization, and the
-acceptance-critical differential guarantee: ``repro.api.run(name,
-execution=...)`` is bit-identical to the corresponding legacy ``run_*`` call
+Covers the ExecutionConfig contract (validation, env resolution), the
+experiment registry, artifact serialization, and the acceptance-critical
+differential guarantee: ``repro.api.run(name, execution=...)`` is
+bit-identical to a direct call of the corresponding ``run_*`` driver
 for the same seed, across the serial / parallel / batched engines.
 """
 
+import dataclasses
 import json
-import warnings
 
 import pytest
 
 from repro import api
 from repro.api import ExecutionConfig, ExperimentArtifact
-from repro.api.execution import resolve_execution
 from repro.experiments import GridNNConfig, GridTabularConfig
 from repro.experiments.registry import (
     ParamSpec,
@@ -93,51 +92,18 @@ class TestExecutionConfig:
         assert ExecutionConfig.from_json_dict(config.to_json_dict()) == config
 
 
-class TestResolveExecution:
-    def test_execution_object_wins(self):
-        config = ExecutionConfig(seed=3)
-        assert resolve_execution(config) is config
-
-    def test_mixing_styles_raises(self):
-        with pytest.raises(TypeError, match="not both"):
-            resolve_execution(ExecutionConfig(), workers=2)
-        with pytest.raises(TypeError, match="not both"):
-            resolve_execution(ExecutionConfig(), seed=1)
-        # An explicit seed=0 is still mixing (None is the "unset" sentinel).
-        with pytest.raises(TypeError, match="seed"):
-            resolve_execution(ExecutionConfig(seed=7), seed=0)
-
-    def test_legacy_knobs_fold_and_warn(self):
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            config = resolve_execution(None, seed=1, repetitions=4, workers=2)
-        assert (config.seed, config.repetitions, config.workers) == (1, 4, 2)
-
-    def test_plain_seed_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            config = resolve_execution(None, seed=2)
-        assert config.seed == 2
-
-    def test_legacy_zero_repetitions_raises(self):
-        # The old `repetitions or config.repetitions` idiom is gone for good.
-        with pytest.raises(ValueError, match="repetitions"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                resolve_execution(None, repetitions=0)
-
-
 class TestDriverValidation:
     def test_drivers_reject_zero_repetitions(self):
+        # ExecutionConfig(repetitions=0) raises on construction; a config
+        # preset of zero must not silently run empty campaigns either.
         from repro.experiments.fig2_training import run_transient_training_heatmap
         from repro.experiments.fig5_inference import run_inference_fault_sweep
 
-        config = GridTabularConfig.fast()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError, match="repetitions"):
-                run_inference_fault_sweep(config, [0.01], repetitions=0)
-            with pytest.raises(ValueError, match="repetitions"):
-                run_transient_training_heatmap(config, [0.01], [0], repetitions=0)
+        config = dataclasses.replace(GridTabularConfig.fast(), repetitions=0)
+        with pytest.raises(ValueError, match="repetitions"):
+            run_inference_fault_sweep(config, [0.01])
+        with pytest.raises(ValueError, match="repetitions"):
+            run_transient_training_heatmap(config, [0.01], [0])
 
 
 class TestRegistry:
@@ -268,7 +234,7 @@ class TestArtifact:
 
 
 # --------------------------------------------------------------------------- #
-# Differential: api.run vs the legacy run_* drivers, across engines
+# Differential: api.run vs a direct driver call, across engines
 # --------------------------------------------------------------------------- #
 ENGINES = [
     pytest.param({"workers": 1, "batch_size": 1}, id="serial"),
@@ -278,7 +244,7 @@ ENGINES = [
 
 
 @pytest.fixture(scope="module")
-def legacy_fig5():
+def direct_fig5():
     from repro.experiments.config import grid_ber_sweep
     from repro.experiments.fig5_inference import run_inference_fault_sweep
 
@@ -288,14 +254,14 @@ def legacy_fig5():
 
 
 @pytest.fixture(scope="module")
-def legacy_fig9c():
+def direct_fig9c():
     from repro.experiments.fig9_exploration import run_recovery_speed_correlation
 
     return run_recovery_speed_correlation(GridTabularConfig.fast())
 
 
 @pytest.fixture(scope="module")
-def legacy_fig10a():
+def direct_fig10a():
     from repro.experiments.config import grid_ber_sweep
     from repro.experiments.fig10_anomaly import run_gridworld_anomaly_mitigation
 
@@ -303,37 +269,37 @@ def legacy_fig10a():
 
 
 class TestLegacyApiParity:
-    """api.run must reproduce the legacy drivers bit-identically per engine."""
+    """api.run on every engine must reproduce a direct driver call bit-identically."""
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_fig5_inference(self, legacy_fig5, engine):
+    def test_fig5_inference(self, direct_fig5, engine):
         artifact = api.run(
             "fig5.inference",
             {"fast": True, "episodes_per_trial": 2},
             execution=ExecutionConfig(**engine),
         )
-        assert artifact.result.rows == legacy_fig5.rows
+        assert artifact.result.rows == direct_fig5.rows
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_fig9_recovery_correlation(self, legacy_fig9c, engine):
+    def test_fig9_recovery_correlation(self, direct_fig9c, engine):
         artifact = api.run(
             "fig9.recovery_correlation",
             {"fast": True},
             execution=ExecutionConfig(**engine),
         )
-        assert artifact.result.rows == legacy_fig9c.rows
+        assert artifact.result.rows == direct_fig9c.rows
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_fig10_gridworld(self, legacy_fig10a, engine):
+    def test_fig10_gridworld(self, direct_fig10a, engine):
         artifact = api.run(
             "fig10.gridworld", {"fast": True}, execution=ExecutionConfig(**engine)
         )
-        assert artifact.result.rows == legacy_fig10a.rows
+        assert artifact.result.rows == direct_fig10a.rows
 
     def test_fig3_series_parity(self):
         from repro.experiments.fig3_return_curves import run_return_curves
 
-        legacy = run_return_curves(GridTabularConfig.fast(), seed=0)
+        direct = run_return_curves(GridTabularConfig.fast())
         artifact = api.run("fig3.return_curves", {"fast": True})
-        assert artifact.result.series == legacy.series
-        assert artifact.result.x_values == legacy.x_values
+        assert artifact.result.series == direct.series
+        assert artifact.result.x_values == direct.x_values

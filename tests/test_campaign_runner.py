@@ -5,6 +5,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from repro.api import ExecutionConfig
 from repro.core import (
     Campaign,
     CampaignResult,
@@ -482,10 +483,11 @@ class TestRunnerResolution:
 class TestRunCampaignHelper:
     def test_checkpoint_dir_and_resume(self, tmp_path):
         campaign = Campaign("fig0-demo-ber0.5", repetitions=4, seed=0)
-        first = run_campaign(campaign, stochastic_trial, checkpoint_dir=tmp_path)
+        execution = ExecutionConfig(checkpoint_dir=tmp_path)
+        first = run_campaign(campaign, stochastic_trial, execution=execution)
         assert campaign_checkpoint_path(campaign.name, tmp_path).exists()
         resumed = run_campaign(
-            campaign, stochastic_trial, checkpoint_dir=tmp_path, resume=True, workers=2
+            campaign, stochastic_trial, execution=execution.replace(resume=True, workers=2)
         )
         assert outcome_tuples(resumed) == outcome_tuples(first)
 

@@ -4,20 +4,15 @@ These use the heavily reduced ``fast()`` configs, so they check that every
 driver runs end-to-end and produces the expected table schema, not that the
 resulting numbers match the paper (that is the benchmarks' job).
 
-The drivers are deliberately called through their legacy keyword signatures
-(``repetitions=``, ``workers=``, ...) — this module doubles as coverage for
-the deprecation shim, so the resulting DeprecationWarnings are expected and
-silenced here (the declarative path is covered by tests/test_api.py).
+The drivers are called directly with an ``execution=ExecutionConfig(...)``;
+the registry path through ``repro.api.run`` is covered by tests/test_api.py.
 """
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
-
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:the per-driver engine keywords:DeprecationWarning"
-)
 
 from repro.experiments import (
     DroneConfig,
@@ -47,6 +42,10 @@ from repro.io.results import ResultTable
 from repro.quant.qformat import Q16_WIDE
 from repro.sweep import SweepRunner, SweepSpec
 from repro.telemetry import Metrics, default_bus
+
+
+#: One repetition per campaign: enough to run every driver end-to-end.
+ONE_REP = ExecutionConfig(repetitions=1)
 
 
 @pytest.fixture(scope="module")
@@ -95,11 +94,52 @@ class TestConfig:
         assert DroneConfig.fast().pretrain_epochs < DroneConfig().pretrain_epochs
 
 
+def _public_drivers():
+    import importlib
+    import pkgutil
+
+    import repro.experiments as package
+
+    for info in pkgutil.iter_modules(package.__path__):
+        module = importlib.import_module(f"{package.__name__}.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("run_") and inspect.isfunction(obj) \
+                    and obj.__module__ == module.__name__:
+                yield pytest.param(obj, id=f"{info.name}.{name}")
+
+
+#: Campaign settings only an ``ExecutionConfig`` may carry.
+ENGINE_KEYWORDS = {"seed", "repetitions", "workers", "batch_size", "checkpoint_dir", "resume"}
+
+
+class TestDriverSignatures:
+    @pytest.mark.parametrize("driver", list(_public_drivers()))
+    def test_execution_is_the_only_engine_argument(self, driver):
+        params = inspect.signature(driver).parameters
+        assert not ENGINE_KEYWORDS & set(params)
+        assert params["execution"].kind is inspect.Parameter.KEYWORD_ONLY
+
+    def test_driver_discovery_finds_every_figure(self):
+        modules = {param.id.split(".")[0] for param in _public_drivers()}
+        assert {"fig2_training", "fig7_drone", "summary", "common"} <= modules
+        assert len(list(_public_drivers())) >= 19
+
+    def test_run_campaign_rejects_engine_keywords(self):
+        def trial(rng):
+            return TrialOutcome(success=True)
+
+        campaign = Campaign("guard", 1)
+        with pytest.raises(TypeError):
+            common.run_campaign(campaign, trial, workers=2)
+        with pytest.raises(TypeError):
+            common.run_campaign(campaign, trial)
+
+
 class TestGridWorldDrivers:
     def test_fig2_transient_schema(self, fast_tabular):
         before = executed_trial_count()
         table = fig2_training.run_transient_training_heatmap(
-            fast_tabular, [0.0, 0.01], [0, 100], repetitions=1
+            fast_tabular, [0.0, 0.01], [0, 100], execution=ONE_REP
         )
         assert len(table) == 4
         # Without a fault the injection episode is moot: one BER-0 campaign.
@@ -111,19 +151,23 @@ class TestGridWorldDrivers:
         assert not np.isnan(matrix).any()
 
     def test_fig2_permanent_schema(self, fast_tabular):
-        table = fig2_training.run_permanent_training_sweep(fast_tabular, [0.01], repetitions=1)
+        table = fig2_training.run_permanent_training_sweep(fast_tabular, [0.01], execution=ONE_REP)
         fault_types = set(table.column("fault_type"))
         assert fault_types == {"stuck-at-0", "stuck-at-1"}
 
     def test_fig2_histograms(self, fast_tabular, fast_nn):
-        table = fig2_training.run_value_histograms(fast_tabular, fast_nn, seed=1)
+        table = fig2_training.run_value_histograms(
+            fast_tabular, fast_nn, execution=ExecutionConfig(seed=1)
+        )
         assert len(table) == 2
         for row in table.rows:
             assert 0.0 < row["zero_fraction"] < 1.0
 
     def test_fig3_curves(self, fast_tabular):
         scenarios = fig3_return_curves.default_scenarios(fast_tabular.episodes, "tabular")[:2]
-        series = fig3_return_curves.run_return_curves(fast_tabular, scenarios, seed=2)
+        series = fig3_return_curves.run_return_curves(
+            fast_tabular, scenarios, execution=ExecutionConfig(seed=2)
+        )
         assert len(series.series) == 2
         assert all(len(v) == len(series.x_values) for v in series.series.values())
 
@@ -136,14 +180,14 @@ class TestGridWorldDrivers:
 
     def test_fig4_transient_convergence(self, fast_tabular):
         table = fig4_convergence.run_transient_convergence(
-            fast_tabular, [0.0, 0.01], extra_episodes=60, repetitions=1
+            fast_tabular, [0.0, 0.01], extra_episodes=60, execution=ONE_REP
         )
         assert len(table) == 2
         assert all(row["episodes_to_converge"] >= 0 for row in table.rows)
 
     def test_fig4_permanent_extra_training(self, fast_tabular):
         table = fig4_convergence.run_permanent_extra_training(
-            fast_tabular, [0.01], extra_episode_grid=(50,), repetitions=1
+            fast_tabular, [0.01], extra_episode_grid=(50,), execution=ONE_REP
         )
         assert len(table) == 2
 
@@ -151,8 +195,6 @@ class TestGridWorldDrivers:
     def test_fig4_fast_spec_trains_a_reduced_extra_grid(self, monkeypatch, approach):
         # The paper's 1000/2000 extra episodes made `fig4 --fast` the slowest
         # CLI run; the fast spec trains a tenth of them, paper scale all.
-        import inspect
-
         grids = []
         monkeypatch.setattr(
             fig4_convergence,
@@ -174,7 +216,7 @@ class TestGridWorldDrivers:
     def test_fig5_inference_modes(self, fast_tabular):
         table = fig5_inference.run_inference_fault_sweep(
             fast_tabular, [0.01], fault_modes=("transient-1", "transient-m"),
-            repetitions=1, episodes_per_trial=2,
+            execution=ONE_REP, episodes_per_trial=2,
         )
         modes = set(table.column("fault_mode"))
         assert modes == {"baseline", "transient-1", "transient-m"}
@@ -188,41 +230,38 @@ class TestGridWorldDrivers:
         # consumed the agent's RNG and made outcomes depend on execution
         # order; trials must be pure functions of their trial RNG so worker
         # count (and checkpoint resume) cannot change the reported rates.
-        kwargs = dict(
-            fault_modes=("transient-1", "stuck-at-1"),
-            repetitions=2,
-            episodes_per_trial=2,
-        )
-        serial = fig5_inference.run_inference_fault_sweep(
-            fast_tabular, [0.01], workers=1, **kwargs
-        )
-        parallel = fig5_inference.run_inference_fault_sweep(
-            fast_tabular, [0.01], workers=2, **kwargs
-        )
+        def run(workers):
+            return fig5_inference.run_inference_fault_sweep(
+                fast_tabular, [0.01], fault_modes=("transient-1", "stuck-at-1"),
+                episodes_per_trial=2,
+                execution=ExecutionConfig(repetitions=2, workers=workers),
+            )
+
+        serial, parallel = run(1), run(2)
         assert serial.rows == parallel.rows
 
     def test_fig8_mitigated_heatmap(self, fast_tabular):
         table = fig8_mitigation_training.run_mitigated_transient_heatmap(
-            fast_tabular, [0.01], [50], mitigation=True, repetitions=1
+            fast_tabular, [0.01], [50], mitigation=True, execution=ONE_REP
         )
         assert table.rows[0]["mitigation"] is True
 
     def test_fig9_exploration_sweep(self, fast_tabular):
         table = fig9_exploration.run_exploration_adjustment_sweep(
-            fast_tabular, [0.01], fault_types=("transient",), repetitions=1
+            fast_tabular, [0.01], fault_types=("transient",), execution=ONE_REP
         )
         assert "adjusted_exploration_ratio" in table.columns
         assert "episodes_to_steady" in table.columns
 
     def test_fig9_recovery_correlation(self, fast_tabular):
         table = fig9_exploration.run_recovery_speed_correlation(
-            fast_tabular, exploration_boosts=(0.5,), repetitions=1
+            fast_tabular, exploration_boosts=(0.5,), execution=ONE_REP
         )
         assert len(table) == 1
 
     def test_fig10_gridworld(self, fast_nn):
         table = fig10_anomaly.run_gridworld_anomaly_mitigation(
-            fast_nn, [0.0, 0.01], repetitions=1, episodes_per_trial=1
+            fast_nn, [0.0, 0.01], execution=ONE_REP, episodes_per_trial=1
         )
         assert len(table) == 4
         assert set(table.column("mitigation")) == {True, False}
@@ -421,12 +460,12 @@ class TestDroneDrivers:
         assert wide.range_profile != narrow.range_profile
 
     def test_fig7b_environments(self, fast_drone, drone_bundle):
-        table = fig7_drone.run_environment_comparison(fast_drone, [0.0, 1e-2], repetitions=1)
+        table = fig7_drone.run_environment_comparison(fast_drone, [0.0, 1e-2], execution=ONE_REP)
         assert set(table.column("environment")) == {"indoor-long", "indoor-vanleer"}
         assert all(row["mean_safe_flight"] >= 0 for row in table.rows)
 
     def test_fig7c_locations(self, fast_drone, drone_bundle):
-        table = fig7_drone.run_fault_location_sweep(fast_drone, [1e-2], repetitions=1)
+        table = fig7_drone.run_fault_location_sweep(fast_drone, [1e-2], execution=ONE_REP)
         assert set(table.column("location")) == {
             "input",
             "weight",
@@ -435,16 +474,16 @@ class TestDroneDrivers:
         }
 
     def test_fig7d_layers(self, fast_drone, drone_bundle):
-        table = fig7_drone.run_layer_sweep(fast_drone, [1e-2], layers=("conv1", "fc2"), repetitions=1)
+        table = fig7_drone.run_layer_sweep(fast_drone, [1e-2], layers=("conv1", "fc2"), execution=ONE_REP)
         assert set(table.column("layer")) == {"conv1", "fc2"}
 
     def test_fig7e_datatypes(self, fast_drone, drone_bundle):
-        table = fig7_drone.run_datatype_sweep(fast_drone, [1e-2], repetitions=1)
+        table = fig7_drone.run_datatype_sweep(fast_drone, [1e-2], execution=ONE_REP)
         assert len(set(table.column("qformat"))) == 3
 
     def test_fig7a_training(self, fast_drone, drone_bundle):
         before = executed_trial_count()
-        table = fig7_drone.run_drone_training_faults(fast_drone, [0.0, 1e-2], repetitions=1)
+        table = fig7_drone.run_drone_training_faults(fast_drone, [0.0, 1e-2], execution=ONE_REP)
         assert set(table.column("fault_type")) == {"transient", "stuck-at-0", "stuck-at-1"}
         # The BER-0 campaigns run once per fault kind's seed: transient (one
         # per injection episode) and stuck-at (one per stuck value) each
@@ -456,7 +495,7 @@ class TestDroneDrivers:
         assert len(transient) == 1 and len(stuck) == 1
 
     def test_fig10b_drone(self, fast_drone, drone_bundle):
-        table = fig10_anomaly.run_drone_anomaly_mitigation(fast_drone, [0.0, 1e-2], repetitions=1)
+        table = fig10_anomaly.run_drone_anomaly_mitigation(fast_drone, [0.0, 1e-2], execution=ONE_REP)
         assert len(table) == 4
 
 

@@ -26,7 +26,8 @@ import pytest
 import sweep_testlib
 from repro import api
 from repro.api import ExecutionConfig
-from repro.store import ArtifactStore, artifact_key, atomic_write_text
+from repro.io import atomic_write_text
+from repro.store import ArtifactStore, artifact_key
 
 SPEC = sweep_testlib.SPEC_NAME
 
