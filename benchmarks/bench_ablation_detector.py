@@ -5,32 +5,24 @@ import pytest
 
 from benchmarks.conftest import report
 from repro.core.fault_models import TransientBitFlip
-from repro.core.injector import inject_weight_faults
 from repro.core.mitigation.anomaly import RangeAnomalyDetector
-from repro.experiments.common import build_drone_bundle, evaluate_drone_msf
-from repro.experiments.fig7_drone import executor_policy
+from repro.experiments.common import build_drone_bundle
+from repro.experiments.fig7_drone import _DroneMSFTrial
 from repro.io.results import ResultTable
 
 
 def _msf_with_margin(bundle, config, margin, compare_integer_only, ber, seed):
-    rng = np.random.default_rng(seed)
-    executor = bundle.make_executor()
-    try:
-        inject_weight_faults(executor, TransientBitFlip(ber), rng=rng)
-        detector = RangeAnomalyDetector(
+    trial = _DroneMSFTrial(
+        bundle,
+        config.environment,
+        weight_fault=TransientBitFlip(ber),
+        weight_scrub=RangeAnomalyDetector(
             bundle.range_profile,
             margin=margin,
             compare_integer_bits_only=compare_integer_only,
-        )
-        detector.apply_to_weights(executor)
-        return evaluate_drone_msf(
-            executor_policy(executor),
-            bundle.env(config.environment),
-            trials=config.eval_trials,
-            max_steps=config.max_eval_steps,
-        )
-    finally:
-        executor.restore_clean_weights()
+        ),
+    )
+    return trial(np.random.default_rng(seed)).metric
 
 
 @pytest.mark.benchmark(group="ablation")

@@ -451,7 +451,7 @@ def _render_listing_json() -> str:
     """The registry as machine-readable JSON (``python -m repro list --json``).
 
     Schema: a list of spec objects — ``name`` / ``figure`` / ``description``
-    / ``batched`` / ``params`` (each with name, type, default, help, choices,
+    / ``params`` (each with name, type, default, help, choices,
     minimum) — the contract sweep tooling and external runners build on.
     """
     return json.dumps([spec.to_json_dict() for spec in list_specs()], indent=2)
@@ -460,8 +460,7 @@ def _render_listing_json() -> str:
 def _render_listing() -> str:
     lines = ["Registered experiment specs:", ""]
     for spec in list_specs():
-        engine = " [batched]" if spec.batched else ""
-        lines.append(f"{spec.name}{engine}")
+        lines.append(spec.name)
         lines.append(f"    {spec.description}")
         if spec.params:
             rendered = "; ".join(param.describe() for param in spec.params)

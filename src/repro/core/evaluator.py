@@ -16,10 +16,9 @@ vectorized pipeline:
 The engine is *differentially exact*: every replica's Q-values (and hence
 greedy actions, episode trajectories and campaign outcomes) are
 bit-identical to evaluating that replica's faults through the scalar
-executor.  Fault sites are still sampled per replica from that replica's
-own trial RNG, in the same buffer order the scalar path samples them, so a
-batched campaign consumes each trial's RNG stream exactly like a serial
-campaign does.
+executor.  Fault sites are sampled per replica from that replica's own
+trial RNG, in the scalar executor's buffer order, so a trial's outcome does
+not depend on the batch it ran in; a single trial is a one-replica batch.
 """
 
 from __future__ import annotations
@@ -85,7 +84,7 @@ class BatchedEvaluator:
         in one vectorized bit operation.  Each replica's RNG consumption and
         resulting buffer bits exactly match the scalar
         ``executor.apply_weight_faults(lambda name, t: model.inject(t, rng))``
-        idiom used by the serial campaign paths.
+        on a :class:`~repro.nn.buffers.QuantizedExecutor`.
 
         Returns the sampled patterns keyed by buffer name (one list entry
         per replica), so permanent faults can be re-applied after rewrites

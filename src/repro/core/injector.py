@@ -18,7 +18,7 @@ inference-time activation/input injection as buffer hooks for
 from __future__ import annotations
 
 import logging
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -314,23 +314,29 @@ class ReplicaFanoutHook:
 
     def __init__(self, hooks: Sequence) -> None:
         self.hooks = list(hooks)
-        self._replicas = np.arange(len(self.hooks), dtype=np.intp)
+        self._replicas = list(range(len(self.hooks)))
+        # Unit-shaped templates by buffer name and shape: the injectors read
+        # only a template's name, size and format, so one serves every pass.
+        self._units: Dict[Tuple[str, Tuple[int, ...]], QTensor] = {}
 
     def set_replicas(self, indices: Sequence[int]) -> None:
         """Declare which replica each stacked row belongs to."""
-        self._replicas = np.asarray(indices, dtype=np.intp)
+        self._replicas = np.asarray(indices).tolist()
 
     def __call__(self, tensor: QTensor, layer: Optional[Layer]) -> None:
         shape = tensor.shape
-        if shape[0] != self._replicas.size:
+        if shape[0] != len(self._replicas):
             raise ValueError(
                 f"stacked buffer has {shape[0]} rows for "
-                f"{self._replicas.size} active replicas"
+                f"{len(self._replicas)} active replicas"
             )
-        unit = QTensor.from_raw(
-            np.zeros(shape[1:], dtype=np.int64), tensor.qformat, name=tensor.name
-        )
-        patterns = [self.hooks[r].pattern(unit, layer) for r in self._replicas.tolist()]
+        key = (tensor.name, shape[1:])
+        unit = self._units.get(key)
+        if unit is None:
+            unit = self._units[key] = QTensor.from_raw(
+                np.zeros(shape[1:], dtype=np.int64), tensor.qformat, name=tensor.name
+            )
+        patterns = [self.hooks[r].pattern(unit, layer) for r in self._replicas]
         apply_patterns_stacked(patterns, tensor)
 
 

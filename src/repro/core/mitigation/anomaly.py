@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.nn.buffers import LayerRangeProfile, QuantizedExecutor
+from repro.nn.buffers import BatchedQuantizedExecutor, LayerRangeProfile, QuantizedExecutor
 from repro.nn.layers import Layer
 from repro.quant.qtensor import QTensor
 
@@ -115,12 +115,15 @@ class RangeAnomalyDetector:
             return
         self.filter_tensor(tensor, self.profile.activation_bound(layer.name, self.margin), layer.name)
 
-    def apply_to_weights(self, executor: QuantizedExecutor) -> int:
+    def apply_to_weights(
+        self, executor: Union[QuantizedExecutor, BatchedQuantizedExecutor]
+    ) -> int:
         """Scrub the executor's weight buffers; returns total anomalies removed.
 
         Call after weight faults have been injected (statically) and before
         running inference, mirroring the detector sitting on the filter
-        buffer's read port.
+        buffer's read port.  A batched executor's stacked buffers are
+        scrubbed for every replica at once (the bounds are per layer).
         """
         total = 0
 

@@ -7,7 +7,8 @@ A :class:`CampaignRunner` executes the independently seeded trials of a
   size.  A trial function that exposes a vectorized ``run_batch(rngs)``
   (see :func:`supports_batching`) evaluates each batch through one set of
   stacked numpy operations; plain trial functions run scalar inside each
-  batch.  With ``batch_size=1`` every trial runs through its scalar path.
+  batch.  With ``batch_size=1`` every trial is called on its own, which for
+  the batchable inference trials is a one-replica batch.
 * ``workers`` — ``1`` runs every trial in the calling process.  ``> 1``
   fans the work out over a :class:`concurrent.futures.ProcessPoolExecutor`
   (whole batches, or chunks of trials when ``batch_size=1``) and streams
@@ -22,8 +23,8 @@ knobs: ``batched`` when ``batch_size > 1``, else ``parallel`` when
 
 Every trial draws its RNG from its *own* ``SeedSequence`` child, spawned
 from the campaign seed by trial index, and batchable trial functions
-reproduce the scalar path's floating-point operations exactly, so outcomes
-are bit-identical for any batch size, worker count and completion order.
+compute every replica exactly as a batch of one would, so outcomes are
+bit-identical for any batch size, worker count and completion order.
 Results reach the ``on_result`` callback as they complete, which is how
 campaign checkpoints are written incrementally.
 
@@ -155,11 +156,11 @@ def record_executed_trials(n: int) -> None:
 def supports_batching(trial_fn) -> bool:
     """Whether a trial function exposes a vectorized ``run_batch(rngs)``.
 
-    A batchable trial function is an ordinary scalar trial callable that
+    A batchable trial function is an ordinary trial callable that
     additionally implements ``run_batch(rngs)``, taking one independent
     ``np.random.Generator`` per trial and returning the matching list of
     ``TrialOutcome``.  The contract is differential: ``run_batch([r0, ..])``
-    must produce outcomes bit-identical to calling the scalar path once per
+    must produce outcomes bit-identical to calling the trial once per
     generator.
     """
     return callable(getattr(trial_fn, "run_batch", None))

@@ -15,7 +15,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.quant.bitops import OP_CLEAR, OP_FLIP, OP_SET
 from repro.quant.qtensor import QTensor
 
 __all__ = ["FaultPattern", "BufferSelector", "apply_patterns_stacked"]
@@ -96,13 +95,14 @@ def apply_patterns_stacked(
     buffer, exactly as it would address the scalar buffer.  ``None``
     entries (and empty patterns) leave their replica untouched.
 
-    All B patterns — transient and stuck-at alike — are fused into one
-    site list with per-site op codes and applied through a single
-    :meth:`~repro.quant.qtensor.QTensor.inject_bit_ops` pass (one buffer
-    copy + one scatter, instead of one per fault kind).  Each replica's
-    sites land in its own disjoint flat range, so the result is
-    bit-identical to applying every pattern to its replica's slice on its
-    own.
+    The B patterns must share one fault kind (transient, stuck-at-0 or
+    stuck-at-1), as patterns sampled from one fault model do; mixed kinds
+    raise ``ValueError``.  Their sites are concatenated and applied through
+    one :meth:`~repro.quant.qtensor.QTensor.inject_bit_flips` or
+    :meth:`~repro.quant.qtensor.QTensor.inject_stuck_at` pass (one buffer
+    copy + one scatter).  Each replica's sites land in its own disjoint
+    flat range, so the result is bit-identical to applying every pattern to
+    its replica's slice on its own.
     """
     if tensor.shape == () or tensor.shape[0] != len(patterns):
         raise ValueError(
@@ -110,34 +110,39 @@ def apply_patterns_stacked(
             f"{tensor.shape[0] if tensor.shape else 'none'} but "
             f"{len(patterns)} patterns were given"
         )
-    n_replicas = len(patterns)
-    unit_size = tensor.size // n_replicas
-
-    op_for_stuck = {None: OP_FLIP, 1: OP_SET, 0: OP_CLEAR}
+    kinds = {pattern.stuck_value for pattern in patterns if pattern is not None}
+    if len(kinds) > 1:
+        raise ValueError(
+            f"patterns for {tensor.name!r} mix fault kinds; apply one kind per call"
+        )
+    unit_size = tensor.size // len(patterns)
     all_elements: List[np.ndarray] = []
     all_bits: List[np.ndarray] = []
-    all_ops: List[np.ndarray] = []
     for replica, pattern in enumerate(patterns):
         if pattern is None or pattern.num_faults == 0:
             continue
-        if pattern.element_indices.max(initial=0) >= unit_size:
+        elements = pattern.element_indices
+        if elements.max() >= unit_size:
             raise ValueError(
                 f"pattern for replica {replica} addresses element "
-                f"{int(pattern.element_indices.max())} but each replica of "
+                f"{int(elements.max())} but each replica of "
                 f"{tensor.name!r} has only {unit_size} elements"
             )
-        all_elements.append(pattern.element_indices + replica * unit_size)
+        all_elements.append(elements + replica * unit_size if replica else elements)
         all_bits.append(pattern.bit_positions)
-        all_ops.append(
-            np.full(pattern.num_faults, op_for_stuck[pattern.stuck_value], dtype=np.int64)
-        )
 
-    if all_elements:
-        tensor.inject_bit_ops(
-            np.concatenate(all_elements),
-            np.concatenate(all_bits),
-            np.concatenate(all_ops),
-        )
+    if not all_elements:
+        return
+    # One faulted replica (every pass of a one-replica batch) needs no copies.
+    if len(all_elements) == 1:
+        (elements,), (bits,) = all_elements, all_bits
+    else:
+        elements, bits = np.concatenate(all_elements), np.concatenate(all_bits)
+    (stuck_value,) = kinds
+    if stuck_value is None:
+        tensor.inject_bit_flips(elements, bits)
+    else:
+        tensor.inject_stuck_at(elements, bits, stuck_value)
 
 
 @dataclass

@@ -266,11 +266,6 @@ class DronePolicyBundle:
     def env(self, name: Optional[str] = None) -> DroneNavEnv:
         return self.envs[name or self.config.environment]
 
-    def make_executor(self, qformat=None) -> QuantizedExecutor:
-        """Fresh quantized executor over a clean copy of the policy."""
-        self.network.load_state_dict(self.clean_state)
-        return QuantizedExecutor(self.network, qformat or self.config.qformat)
-
     def restore_clean(self) -> None:
         self.network.load_state_dict(self.clean_state)
 

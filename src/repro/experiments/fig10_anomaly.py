@@ -4,7 +4,8 @@ Transient faults are injected into the NN weights; the range detector
 (per-layer bounds + 10% margin, sign+integer-bit comparison) scrubs anomalous
 values before they reach the policy.  Panel (a) is the Grid World success
 rate with / without mitigation; panel (b) is the drone flight distance with /
-without mitigation.  The paper reports roughly a 2x success-rate improvement
+without mitigation, measured by the Fig. 7 drone trial with the detector as
+its ``weight_scrub``.  The paper reports roughly a 2x success-rate improvement
 and a 39% flight-quality improvement at high BER, at <3% runtime overhead.
 """
 
@@ -19,12 +20,7 @@ from repro.core.campaign import Campaign, TrialOutcome
 from repro.core.fault_models import TransientBitFlip
 from repro.core.injector import inject_weight_faults
 from repro.core.mitigation.anomaly import RangeAnomalyDetector
-from repro.experiments.common import (
-    build_drone_bundle,
-    evaluate_drone_msf,
-    run_campaign,
-    train_grid_nn,
-)
+from repro.experiments.common import build_drone_bundle, run_campaign, train_grid_nn
 from repro.experiments.config import (
     FAST_PARAM,
     DroneConfig,
@@ -34,7 +30,7 @@ from repro.experiments.config import (
     grid_ber_sweep,
     grid_config_for,
 )
-from repro.experiments.fig7_drone import executor_policy
+from repro.experiments.fig7_drone import _DroneMSFTrial
 from repro.experiments.registry import ParamSpec, register_experiment
 from repro.io.results import ResultTable
 from repro.nn.buffers import QuantizedExecutor
@@ -115,26 +111,16 @@ def run_drone_anomaly_mitigation(
     table = ResultTable(title="Fig10b drone anomaly-detection mitigation")
     for mitigation in (False, True):
         for ber in bit_error_rates:
-            def trial(rng: np.random.Generator, ber=ber, mitigation=mitigation) -> TrialOutcome:
-                executor = bundle.make_executor()
-                try:
-                    if ber > 0:
-                        inject_weight_faults(executor, TransientBitFlip(ber), rng=rng)
-                    if mitigation:
-                        # Faults live in the weight buffers, so the detector
-                        # sits on the filter-buffer read port (weight scrub).
-                        detector = RangeAnomalyDetector(bundle.range_profile, margin=margin)
-                        detector.apply_to_weights(executor)
-                    msf = evaluate_drone_msf(
-                        executor_policy(executor),
-                        bundle.env(config.environment),
-                        trials=config.eval_trials,
-                        max_steps=config.max_eval_steps,
-                    )
-                    return TrialOutcome(metric=msf)
-                finally:
-                    executor.restore_clean_weights()
-
+            trial = _DroneMSFTrial(
+                bundle,
+                config.environment,
+                weight_fault=TransientBitFlip(ber),
+                weight_scrub=(
+                    RangeAnomalyDetector(bundle.range_profile, margin=margin)
+                    if mitigation
+                    else None
+                ),
+            )
             label = "mitigated" if mitigation else "no-mitigation"
             result = run_campaign(
                 Campaign(f"fig10b-{label}-ber{ber}", repetitions, seed=seed + 2),
@@ -163,7 +149,6 @@ _MARGIN_PARAM = ParamSpec(
     description="Fig. 10a — Grid World NN inference success rate with and "
     "without range-based anomaly detection",
     params=(FAST_PARAM, _MARGIN_PARAM),
-    batched=True,
 )
 def _gridworld_anomaly_spec(
     execution: ExecutionConfig, *, fast: bool, margin: float
@@ -179,7 +164,6 @@ def _gridworld_anomaly_spec(
     description="Fig. 10b — drone flight distance under weight faults with "
     "and without range-based anomaly detection",
     params=(FAST_PARAM, _MARGIN_PARAM),
-    batched=True,
 )
 def _drone_anomaly_spec(
     execution: ExecutionConfig, *, fast: bool, margin: float

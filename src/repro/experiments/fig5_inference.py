@@ -12,18 +12,18 @@ Permanent stuck-at-0 / stuck-at-1 faults affect the whole episode as well.
 The clean policy is trained once per configuration and the injection is then
 repeated many times with independent fault sites.
 
-The NN trial implements the batched-execution protocol (``run_batch``):
-under a :class:`~repro.core.runner.CampaignRunner` with ``batch_size=B``
-each batch of B trials
-becomes B policy *replicas* evaluated simultaneously — fault patterns apply
-to stacked quantized buffers in one vectorized bit operation, Q-values come
-from one stacked forward pass per step, and the Grid World steps all
-replicas through vectorized integer math.  Every replica samples its faults
-from its own trial RNG in the scalar sampling order, so batched campaign
-outcomes are bit-identical to serial ones (enforced by
-``tests/test_batched_parity.py``).  The tabular trial is scalar only; the
-batched engine runs it once per trial inside each batch (a replica-stacked
-Q table measured slower than that).
+The NN trial has one implementation, the batched ``run_batch``: under a
+:class:`~repro.core.runner.CampaignRunner` with ``batch_size=B`` each batch
+of B trials becomes B policy *replicas* evaluated simultaneously — fault
+patterns apply to stacked quantized buffers in one vectorized bit
+operation, Q-values come from one stacked forward pass per step, and the
+Grid World steps all replicas through vectorized integer math.  A single
+trial is a one-replica batch.  Every replica samples its faults from its
+own trial RNG, so outcomes are bit-identical for every batch size
+(``tests/test_batched_parity.py`` checks them against a scalar
+per-episode oracle).  The tabular trial is scalar only; the batched engine
+runs it once per trial inside each batch (a replica-stacked Q table
+measured slower than that).
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from repro.experiments.config import (
 )
 from repro.experiments.registry import ParamSpec, register_experiment
 from repro.io.results import ResultTable
-from repro.nn.buffers import QuantizedExecutor
 from repro.rl.dqn import DQNAgent
 from repro.rl.evaluation import greedy_rollout, greedy_rollouts
 from repro.rl.tabular import TabularQAgent
@@ -150,64 +149,17 @@ class _TabularInferenceTrial:
 # --------------------------------------------------------------------------- #
 # NN policy corruption
 # --------------------------------------------------------------------------- #
-def _nn_episode(
-    agent: DQNAgent,
-    env,
-    mode: str,
-    ber: float,
-    rng: np.random.Generator,
-    max_steps: int,
-    qformat,
-) -> bool:
-    """Run one inference episode of the NN policy under the given fault mode."""
-    executor = QuantizedExecutor(agent.network, qformat)
-    try:
-        if mode in _MEMORY_FAULT_MODES and ber > 0:
-            model = _memory_fault_model(mode, ber)
-            executor.apply_weight_faults(
-                lambda name, tensor: model.inject(tensor, rng)
-            )
-
-        fault_step = int(rng.integers(max_steps)) if mode == "transient-1" else -1
-        state = env.reset()
-        for step in range(max_steps):
-            if step == fault_step and ber > 0:
-                # Transient-1 hits a read register: only this one decision
-                # sees the corrupted weights.  Query a one-off faulted
-                # executor and restore the clean weights immediately, so the
-                # remaining steps run clean instead of inheriting the faults
-                # through the shared network.
-                faulty_executor = QuantizedExecutor(agent.network, qformat)
-                faulty_executor.apply_weight_faults(
-                    lambda name, tensor: TransientBitFlip(ber).inject(tensor, rng)
-                )
-                q = faulty_executor.forward(agent.state_encoder(state)[None])[0]
-                faulty_executor.restore_clean_weights()
-            else:
-                q = executor.forward(agent.state_encoder(state)[None])[0]
-            action = int(np.argmax(q))
-            state, _, done, info = env.step(action)
-            if done:
-                return bool(info.get("success", False))
-        return False
-    finally:
-        executor.restore_clean_weights()
-
-
 class _NNInferenceTrial:
     """One Fig. 5 NN campaign trial: N faulted quantized-inference episodes.
 
-    Scalar execution (``__call__``) runs :func:`_nn_episode` per episode
-    through the scalar :class:`~repro.nn.buffers.QuantizedExecutor`.
-    Batched execution (``run_batch``) runs every episode on one
-    :class:`~repro.core.evaluator.BatchedEvaluator` per batch, restored to
-    its clean weights before each injection: all trials' weight-fault
-    patterns apply to stacked quantized buffers in one vectorized bit
-    operation, and every environment step encodes the still-running
-    replicas' states in one encoder call and evaluates them through a
-    single stacked forward pass.  Transient-1 decisions reuse one
-    1-replica evaluator the same way.  Both paths are bit-identical for the
-    same trial RNGs.
+    Every batch of trials runs on one
+    :class:`~repro.core.evaluator.BatchedEvaluator`, restored to its clean
+    weights before each injection: all trials' weight-fault patterns apply
+    to stacked quantized buffers in one vectorized bit operation, and every
+    environment step encodes the still-running replicas' states in one
+    encoder call and evaluates them through a single stacked forward pass.
+    Transient-1 decisions reuse one 1-replica evaluator the same way.  A
+    single trial (``__call__``) is a one-replica batch.
     """
 
     def __init__(
@@ -229,13 +181,7 @@ class _NNInferenceTrial:
         self.episodes_per_trial = episodes_per_trial
 
     def __call__(self, rng: np.random.Generator) -> TrialOutcome:
-        successes = [
-            _nn_episode(
-                self.agent, self.env, self.mode, self.ber, rng, self.max_steps, self.qformat
-            )
-            for _ in range(self.episodes_per_trial)
-        ]
-        return TrialOutcome(success=None, metric=float(np.mean(successes)))
+        return self.run_batch([rng])[0]
 
     def run_batch(self, rngs: Sequence[np.random.Generator]) -> List[TrialOutcome]:
         network = self.agent.network
@@ -287,9 +233,9 @@ class _NNInferenceTrial:
     def _transient1_action(
         self, evaluator: BatchedEvaluator, rng: np.random.Generator, encoded: np.ndarray
     ) -> int:
-        # A clean 1-replica evaluator faulted from the trial generator in
-        # the scalar buffer order — the batched analogue of the scalar
-        # "faulty executor for a single decision step".
+        # Transient-1 hits a read register: only this one decision sees the
+        # corrupted weights, read through a clean 1-replica evaluator
+        # faulted from the trial generator.
         evaluator.restore_clean_weights()
         evaluator.inject_weight_faults(TransientBitFlip(self.ber), [rng])
         q = evaluator.forward(encoded[None])
@@ -379,7 +325,6 @@ def run_inference_fault_sweep(
             minimum=1,
         ),
     ),
-    batched=True,
 )
 def _inference_spec(
     execution: ExecutionConfig, *, approach: str, fast: bool, episodes_per_trial: int

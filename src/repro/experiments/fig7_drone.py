@@ -9,11 +9,13 @@ Panels (b)-(e): faults during *inference* of the trained policy —
 activations transient / activations permanent), (d) per-layer sensitivity
 (conv1..fc2), and (e) fixed-point data type (Q(1,4,11) / Q(1,7,8) / Q(1,10,5)).
 
-The inference panels implement the batched-execution protocol
-(``run_batch``): under a batched runner each batch of trials becomes policy
-*replicas* evaluated through stacked quantized buffers and the replica-axis
-vectorized drone environment (:class:`~repro.envs.drone.DroneNavEnvBatch`),
-bit-identical to serial execution (``tests/test_batched_parity.py``).
+The inference panels (and Fig. 10b) run one trial, ``_DroneMSFTrial``,
+whose only implementation is the batched ``run_batch``: each batch of
+trials becomes policy *replicas* evaluated through stacked quantized
+buffers and the replica-axis vectorized drone environment
+(:class:`~repro.envs.drone.DroneNavEnvBatch`).  A single trial is a
+one-replica batch, and outcomes are bit-identical for every batch size
+(``tests/test_batched_parity.py`` checks them against a scalar oracle).
 
 At BER 0 an inference trial injects nothing, and its RNG depends only on
 the campaign seed and trial index, so every fault location (7c) or layer
@@ -25,7 +27,7 @@ share that result.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -39,8 +41,8 @@ from repro.core.injector import (
     PermanentTrainingFaultHook,
     ReplicaFanoutHook,
     TransientTrainingFaultHook,
-    inject_weight_faults,
 )
+from repro.core.mitigation.anomaly import RangeAnomalyDetector
 from repro.core.sites import BufferSelector
 from repro.envs.batched import BatchedEnv
 from repro.experiments.common import (
@@ -57,14 +59,12 @@ from repro.experiments.config import (
 )
 from repro.experiments.registry import register_experiment
 from repro.io.results import ResultTable
-from repro.nn.buffers import QuantizedExecutor
 from repro.policies.c3f2 import C3F2_LAYER_NAMES
 from repro.quant.qformat import Q16_MID, Q16_NARROW, Q16_WIDE, QFormat
 from repro.rl import DecayingEpsilonGreedy, DoubleDQNAgent, train_agent
 from repro.rl.evaluation import evaluate_mean_metrics
 
 __all__ = [
-    "executor_policy",
     "run_drone_training_faults",
     "run_environment_comparison",
     "run_fault_location_sweep",
@@ -73,58 +73,20 @@ __all__ = [
 ]
 
 
-def executor_policy(executor: QuantizedExecutor) -> Callable[[np.ndarray], int]:
-    """Greedy policy reading Q-values through the quantized executor."""
-    return lambda state: int(np.argmax(executor.forward(state[None])[0]))
-
-
 # --------------------------------------------------------------------------- #
 # Inference-side sweeps (Fig. 7b-e)
 # --------------------------------------------------------------------------- #
-def _msf_with_faults(
-    bundle: DronePolicyBundle,
-    env_name: str,
-    rng: np.random.Generator,
-    qformat: Optional[QFormat] = None,
-    weight_fault: Optional[FaultModel] = None,
-    weight_selector: Optional[BufferSelector] = None,
-    activation_injector: Optional[ActivationFaultInjector] = None,
-    input_injector: Optional[InputFaultInjector] = None,
-) -> float:
-    """MSF of the bundle's policy with the given fault configuration applied."""
-    config = bundle.config
-    executor = bundle.make_executor(qformat)
-    if weight_fault is not None and weight_fault.bit_error_rate > 0:
-        inject_weight_faults(executor, weight_fault, selector=weight_selector, rng=rng)
-    if activation_injector is not None:
-        executor.activation_hooks.append(activation_injector)
-    if input_injector is not None:
-        executor.input_hooks.append(input_injector)
-    try:
-        return evaluate_drone_msf(
-            executor_policy(executor),
-            bundle.env(env_name),
-            trials=config.eval_trials,
-            max_steps=config.max_eval_steps,
-        )
-    finally:
-        executor.restore_clean_weights()
-
-
 class _DroneMSFTrial:
-    """One Fig. 7b-e campaign trial: the drone policy's MSF under faults.
+    """One drone inference trial (Fig. 7b-e, Fig. 10b): the MSF under faults.
 
-    Scalar execution (``__call__``) reproduces the original per-trial path:
-    a fresh :class:`~repro.nn.buffers.QuantizedExecutor`, static weight
-    faults, per-forward activation/input hooks, and
-    ``config.eval_trials`` scalar episodes.  Batched execution
-    (``run_batch``) evaluates the whole batch of trials as policy replicas:
-    weight-fault patterns apply to stacked quantized buffers in one
-    vectorized bit operation, activation/input injectors fan out per
-    replica via :class:`~repro.core.injector.ReplicaFanoutHook`, and the
-    episodes run against the replica-axis vectorized
-    :class:`~repro.envs.drone.DroneNavEnvBatch`.  Both paths are
-    bit-identical for the same trial RNGs.
+    Each batch of trials is evaluated as policy replicas: weight-fault
+    patterns apply to stacked quantized buffers in one vectorized bit
+    operation, the optional ``weight_scrub`` range detector then scrubs
+    every replica's weight buffers (Fig. 10b), activation/input injectors
+    fan out per replica via :class:`~repro.core.injector.ReplicaFanoutHook`,
+    and the episodes run against the replica-axis vectorized
+    :class:`~repro.envs.drone.DroneNavEnvBatch`.  A single trial
+    (``__call__``) is a one-replica batch.
     """
 
     def __init__(
@@ -138,6 +100,7 @@ class _DroneMSFTrial:
         activation_fault: Optional[FaultModel] = None,
         activation_mode: str = "transient",
         input_fault: Optional[FaultModel] = None,
+        weight_scrub: Optional[RangeAnomalyDetector] = None,
     ) -> None:
         self.bundle = bundle
         self.env_name = env_name
@@ -147,6 +110,7 @@ class _DroneMSFTrial:
         self.activation_fault = activation_fault
         self.activation_mode = activation_mode
         self.input_fault = input_fault
+        self.weight_scrub = weight_scrub
         # Per-batch-size caches: campaigns call run_batch once per batch,
         # and rebuilding the stacked evaluator (re-encoding every weight
         # buffer) and the environments each time is pure fixed overhead.
@@ -156,25 +120,7 @@ class _DroneMSFTrial:
         self._envs: Dict[int, BatchedEnv] = {}
 
     def __call__(self, rng: np.random.Generator) -> TrialOutcome:
-        activation = None
-        input_inj = None
-        if self.activation_fault is not None:
-            activation = ActivationFaultInjector(
-                self.activation_fault, mode=self.activation_mode, rng=rng
-            )
-        if self.input_fault is not None:
-            input_inj = InputFaultInjector(self.input_fault, rng=rng)
-        msf = _msf_with_faults(
-            self.bundle,
-            self.env_name,
-            rng,
-            qformat=self.qformat,
-            weight_fault=self.weight_fault,
-            weight_selector=self.weight_selector,
-            activation_injector=activation,
-            input_injector=input_inj,
-        )
-        return TrialOutcome(metric=msf)
+        return self.run_batch([rng])[0]
 
     def run_batch(self, rngs: Sequence[np.random.Generator]) -> List[TrialOutcome]:
         n = len(rngs)
@@ -202,14 +148,15 @@ class _DroneMSFTrial:
     ) -> List[float]:
         config = self.bundle.config
         if self.weight_fault is not None and self.weight_fault.bit_error_rate > 0:
-            # The scalar path's inject_weight_faults defaults to
-            # all_weights(); the evaluator's default selector matches
-            # everything by name, so pass the scalar default explicitly.
             evaluator.inject_weight_faults(
                 self.weight_fault,
                 rngs,
                 selector=self.weight_selector or BufferSelector.all_weights(),
             )
+        if self.weight_scrub is not None:
+            # Faults live in the weight buffers, so the detector sits on the
+            # filter-buffer read port (weight scrub).
+            self.weight_scrub.apply_to_weights(evaluator.executor)
         fanouts: List[ReplicaFanoutHook] = []
         if self.activation_fault is not None:
             fanout = ReplicaFanoutHook(
@@ -558,7 +505,6 @@ def _training_faults_spec(execution: ExecutionConfig, *, fast: bool) -> ResultTa
     "fig7.environments",
     description="Fig. 7b — drone inference MSF vs BER per environment",
     params=(FAST_PARAM,),
-    batched=True,
 )
 def _environments_spec(execution: ExecutionConfig, *, fast: bool) -> ResultTable:
     config = drone_config_for(fast, scale=execution.scale)
@@ -571,7 +517,6 @@ def _environments_spec(execution: ExecutionConfig, *, fast: bool) -> ResultTable
     "fig7.locations",
     description="Fig. 7c — drone inference MSF vs BER per fault location",
     params=(FAST_PARAM,),
-    batched=True,
 )
 def _locations_spec(execution: ExecutionConfig, *, fast: bool) -> ResultTable:
     config = drone_config_for(fast, scale=execution.scale)
@@ -584,7 +529,6 @@ def _locations_spec(execution: ExecutionConfig, *, fast: bool) -> ResultTable:
     "fig7.layers",
     description="Fig. 7d — drone inference MSF vs BER per faulted layer",
     params=(FAST_PARAM,),
-    batched=True,
 )
 def _layers_spec(execution: ExecutionConfig, *, fast: bool) -> ResultTable:
     config = drone_config_for(fast, scale=execution.scale)
@@ -595,7 +539,6 @@ def _layers_spec(execution: ExecutionConfig, *, fast: bool) -> ResultTable:
     "fig7.datatypes",
     description="Fig. 7e — drone inference MSF vs BER per fixed-point data type",
     params=(FAST_PARAM,),
-    batched=True,
 )
 def _datatypes_spec(execution: ExecutionConfig, *, fast: bool) -> ResultTable:
     config = drone_config_for(fast, scale=execution.scale)

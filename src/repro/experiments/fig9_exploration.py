@@ -184,7 +184,6 @@ def run_recovery_speed_correlation(
     description="Fig. 9a/9b — adjusted exploration ratio and episodes to "
     "steady exploitation per fault type and BER",
     params=(APPROACH_PARAM, FAST_PARAM),
-    batched=True,
 )
 def _exploration_adjustment_spec(
     execution: ExecutionConfig, *, approach: str, fast: bool
@@ -200,7 +199,6 @@ def _exploration_adjustment_spec(
     description="Fig. 9c — recovery time vs forced exploration boost after a "
     "mid-training transient fault",
     params=(APPROACH_PARAM, FAST_PARAM),
-    batched=True,
 )
 def _recovery_correlation_spec(
     execution: ExecutionConfig, *, approach: str, fast: bool

@@ -13,7 +13,6 @@ the drivers they wrap with the :func:`register_experiment` decorator::
             ParamSpec("approach", str, "tabular", choices=("tabular", "nn")),
             ParamSpec("fast", bool, False),
         ),
-        batched=True,
     )
     def _inference_spec(execution: ExecutionConfig, *, approach, fast):
         ...
@@ -167,7 +166,6 @@ class ExperimentSpec:
     description: str
     run_fn: Callable[..., Any]
     params: Tuple[ParamSpec, ...] = field(default_factory=tuple)
-    batched: bool = False
 
     @property
     def figure(self) -> str:
@@ -188,7 +186,6 @@ class ExperimentSpec:
             "name": self.name,
             "figure": self.figure,
             "description": self.description,
-            "batched": self.batched,
             "params": [param.to_json_dict() for param in self.params],
         }
 
@@ -224,7 +221,6 @@ def register_experiment(
     *,
     description: str,
     params: Sequence[ParamSpec] = (),
-    batched: bool = False,
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     """Class-of-one decorator registering a run function as an experiment spec.
 
@@ -253,7 +249,6 @@ def register_experiment(
             description=description,
             run_fn=fn,
             params=tuple(params),
-            batched=batched,
         )
         _REGISTRY[name] = spec
         fn.spec = spec

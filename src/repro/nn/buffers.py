@@ -306,7 +306,9 @@ class BatchedQuantizedExecutor:
 
     Unlike the scalar executor, the batched one never mutates the network
     it wraps, so no ``restore_clean_weights`` step is needed between
-    trials.
+    trials.  :meth:`apply_weight_faults` keeps the scalar contract, so a
+    weight mutator written for :class:`QuantizedExecutor` — such as the
+    range detector's weight scrub — applies to every replica unchanged.
 
     Parameters
     ----------

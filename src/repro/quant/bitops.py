@@ -7,11 +7,10 @@ mechanisms of the paper's fault model (Sec. 3.2): transient bit-flips and
 permanent stuck-at-0 / stuck-at-1 faults.
 
 Every operation is one in-place scatter (:func:`scatter_bits`) into a copy
-of the buffer; :func:`apply_bit_ops` (through :func:`inject_sites`) fuses
-mixed flip/set/clear site lists into one pass over the buffer (the batched
-engine's :func:`~repro.core.sites.apply_patterns_stacked` uses it to
-corrupt B replicas in a single copy + scatter instead of one per fault
-kind).
+of the buffer.  :func:`apply_bit_ops` (through :func:`inject_sites`) fuses
+mixed flip/set/clear site lists into one pass.  No program path mixes fault
+kinds; it stays because the benchmark tracer (``perfbench/tracer.py``)
+lists it among the ``quant.bits`` spans.
 """
 
 from __future__ import annotations
@@ -66,10 +65,9 @@ def inject_sites(
 ) -> None:
     """Apply mixed flip/set/clear operations to the 1-D ``flat`` in place.
 
-    Sites carrying *different* op codes must be distinct (guaranteed by
-    :func:`repro.core.sites.apply_patterns_stacked`, where each replica's
-    pattern addresses a disjoint flat range); repeated sites within one op
-    kind behave like repeated :func:`scatter_bits` applications.
+    Sites carrying *different* op codes must be distinct; repeated sites
+    within one op kind behave like repeated :func:`scatter_bits`
+    applications.
     """
     for op_code in (OP_FLIP, OP_SET, OP_CLEAR):
         mask = op_codes == op_code

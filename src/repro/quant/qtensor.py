@@ -25,7 +25,6 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from repro.quant.bitops import (
-    apply_bit_ops,
     apply_stuck_at,
     flip_bits,
     random_bit_positions,
@@ -189,28 +188,6 @@ class QTensor:
             element_indices,
             bit_positions,
             stuck_value,
-            self.qformat.total_bits,
-        )
-        self._view = None
-
-    def inject_bit_ops(
-        self,
-        element_indices: np.ndarray,
-        bit_positions: np.ndarray,
-        op_codes: np.ndarray,
-    ) -> None:
-        """Apply mixed flip/set/clear operations in one fused pass.
-
-        ``op_codes`` uses the :data:`~repro.quant.bitops.OP_FLIP` /
-        ``OP_SET`` / ``OP_CLEAR`` codes; sites carrying different codes must
-        be distinct (see :func:`~repro.quant.bitops.apply_bit_ops`).  This is
-        the batched engine's single-copy injection primitive.
-        """
-        self._raw = apply_bit_ops(
-            self._raw,
-            element_indices,
-            bit_positions,
-            op_codes,
             self.qformat.total_bits,
         )
         self._view = None

@@ -161,8 +161,8 @@ class TrialFinished(TelemetryEvent):
 
     ``wall_time_s`` is the trial's own wall time on scalar engines; for
     vectorized batches (where B trials share one stacked forward pass) it
-    is the batch wall time amortized over the batch, flagged by
-    ``batched=True``.
+    is the batch wall time amortized over the batch, flagged by the
+    ``batched`` field.
     """
 
     campaign: str = ""

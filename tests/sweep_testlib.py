@@ -53,7 +53,6 @@ class BernoulliTrial:
         ParamSpec("p", float, 0.5, help="per-trial success probability"),
         ParamSpec("label", str, "a", help="campaign label (cache-key salt)"),
     ),
-    batched=True,
 )
 def run_bernoulli(execution: ExecutionConfig, *, p: float, label: str) -> ResultTable:
     repetitions = execution.resolve_repetitions(DEFAULT_REPS)

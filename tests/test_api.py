@@ -132,10 +132,6 @@ class TestRegistry:
             assert spec.description
             assert spec.figure == spec.name.split(".")[0]
 
-    def test_batched_specs_marked(self):
-        assert get_spec("fig5.inference").batched
-        assert not get_spec("fig2.transient_heatmap").batched
-
     def test_unknown_spec_raises(self):
         with pytest.raises(KeyError, match="unknown experiment"):
             get_spec("fig99.bogus")

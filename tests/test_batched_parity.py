@@ -2,11 +2,12 @@
 
 The batched inference-campaign engine promises *bit-identical* outcomes: for
 any batch size B, evaluating B fault-injected replicas through the stacked
-vectorized path must equal running the scalar path B times with the same
-per-trial RNGs.  Every layer of the stack is verified differentially here —
-stacked network forwards, stacked quantize–inject–dequantize, batched greedy
-rollouts, and the fig5 trial implementations end to end — including B=1 and
-ragged final batches.
+vectorized path must equal running a scalar formulation B times with the
+same per-trial RNGs.  Every layer of the stack is verified differentially
+here — stacked network forwards, stacked quantize–inject–dequantize, batched
+greedy rollouts, and the Fig. 5, Fig. 7 and Fig. 10b trials end to end
+against the scalar oracles of ``inference_oracles`` — including B=1 (a
+single trial is a one-replica batch) and ragged final batches.
 """
 
 import numpy as np
@@ -32,6 +33,8 @@ from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Sequential
 from repro.nn.buffers import BatchedQuantizedExecutor, QuantizedExecutor
 from repro.policies import build_grid_q_network
 from repro.quant import Q8_GRID, Q16_NARROW, QTensor
+
+from inference_oracles import nn_trial_oracle
 
 ALL_MODELS = [
     TransientBitFlip(0.05),
@@ -246,18 +249,39 @@ def _trial_seeds(n):
     return np.random.SeedSequence(99).spawn(n)
 
 
+def _assert_matches_oracle(trial, oracle, batch_size, n_trials):
+    """``trial(rng)`` and ``run_batch`` in batches of ``batch_size`` equal ``oracle``.
+
+    ``n_trials`` not divisible by ``batch_size`` ends on a ragged batch.
+    """
+    seeds = _trial_seeds(n_trials)
+    expected = [oracle(trial, np.random.default_rng(seed)) for seed in seeds]
+    assert [trial(np.random.default_rng(seed)) for seed in seeds] == expected
+    batched = []
+    for start in range(0, n_trials, batch_size):
+        batch = seeds[start : start + batch_size]
+        batched += trial.run_batch([np.random.default_rng(seed) for seed in batch])
+    assert batched == expected
+
+
 class TestFig5TrialParity:
     @pytest.mark.parametrize("mode", INFERENCE_FAULT_MODES)
     @pytest.mark.parametrize("ber", [0.0, 0.01])
-    def test_nn_run_batch_equals_scalar(self, nn_agent_env, mode, ber):
+    def test_nn_trial_equals_scalar_oracle(self, nn_agent_env, mode, ber):
         config, agent, env = nn_agent_env
         trial = _NNInferenceTrial(
             agent, env, mode, ber, config.max_steps, config.weight_qformat, 2
         )
-        seeds = _trial_seeds(5)
-        scalar = [trial(np.random.default_rng(seed)) for seed in seeds]
-        batched = trial.run_batch([np.random.default_rng(seed) for seed in seeds])
-        assert batched == scalar
+        _assert_matches_oracle(trial, nn_trial_oracle, batch_size=5, n_trials=5)
+
+    @pytest.mark.parametrize("mode", ["transient-1", "stuck-at-1"])
+    @pytest.mark.parametrize("batch_size", [1, 3, 8])
+    def test_nn_batch_sizes_equal_scalar_oracle(self, nn_agent_env, mode, batch_size):
+        config, agent, env = nn_agent_env
+        trial = _NNInferenceTrial(
+            agent, env, mode, 0.02, config.max_steps, config.weight_qformat, 2
+        )
+        _assert_matches_oracle(trial, nn_trial_oracle, batch_size, n_trials=10)
 
     @pytest.mark.parametrize("mode", INFERENCE_FAULT_MODES)
     @pytest.mark.parametrize("ber", [0.0, 0.01])
@@ -270,16 +294,6 @@ class TestFig5TrialParity:
         serial = campaign.run(trial, runner=CampaignRunner(batch_size=1, workers=1))
         batched = campaign.run(trial, runner=CampaignRunner(batch_size=3, workers=1))
         assert batched.outcomes == serial.outcomes
-
-    def test_run_batch_of_one_equals_scalar(self, nn_agent_env):
-        config, agent, env = nn_agent_env
-        trial = _NNInferenceTrial(
-            agent, env, "transient-1", 0.02, config.max_steps, config.weight_qformat, 2
-        )
-        (seed,) = _trial_seeds(1)
-        assert trial.run_batch([np.random.default_rng(seed)]) == [
-            trial(np.random.default_rng(seed))
-        ]
 
     @pytest.mark.parametrize("batch_size", [1, 3, 8])
     def test_batched_runner_campaign_equals_serial(self, nn_agent_env, batch_size):
@@ -300,12 +314,15 @@ class TestFig5TrialParity:
 # --------------------------------------------------------------------------- #
 import dataclasses
 
+from repro.core.mitigation.anomaly import RangeAnomalyDetector
 from repro.core.sites import BufferSelector
 from repro.envs.drone import DroneNavEnvBatch, make_drone_env
 from repro.experiments.common import build_drone_bundle
 from repro.experiments.config import DroneConfig
 from repro.experiments.fig7_drone import _DroneMSFTrial
 from repro.quant import Q16_MID
+
+from inference_oracles import drone_trial_oracle, fig10b_trial_oracle
 
 
 @pytest.fixture(scope="module")
@@ -390,22 +407,15 @@ DRONE_FAULT_CASES = {
 
 class TestFig7TrialParity:
     @pytest.mark.parametrize("case", sorted(DRONE_FAULT_CASES))
-    def test_run_batch_equals_scalar(self, drone_bundle, case):
+    def test_trial_equals_scalar_oracle(self, drone_bundle, case):
         trial = _DroneMSFTrial(drone_bundle, "indoor-long", **DRONE_FAULT_CASES[case])
-        seeds = _trial_seeds(3)
-        scalar = [trial(np.random.default_rng(seed)) for seed in seeds]
-        batched = trial.run_batch([np.random.default_rng(seed) for seed in seeds])
-        assert batched == scalar
+        _assert_matches_oracle(trial, drone_trial_oracle, batch_size=3, n_trials=3)
 
-    @pytest.mark.parametrize("batch_size", [1, 8])
-    def test_weight_fault_batch_sizes(self, drone_bundle, batch_size):
-        trial = _DroneMSFTrial(
-            drone_bundle, "indoor-long", weight_fault=TransientBitFlip(1e-3)
-        )
-        seeds = _trial_seeds(batch_size)
-        scalar = [trial(np.random.default_rng(seed)) for seed in seeds]
-        batched = trial.run_batch([np.random.default_rng(seed) for seed in seeds])
-        assert batched == scalar
+    @pytest.mark.parametrize("case", ["weight", "act-permanent"])
+    @pytest.mark.parametrize("batch_size", [1, 3, 8])
+    def test_batch_sizes_equal_scalar_oracle(self, drone_bundle, case, batch_size):
+        trial = _DroneMSFTrial(drone_bundle, "indoor-long", **DRONE_FAULT_CASES[case])
+        _assert_matches_oracle(trial, drone_trial_oracle, batch_size, n_trials=10)
 
     def test_batched_runner_campaign_equals_serial(self, drone_bundle):
         # Repetitions not divisible by the batch size: the final ragged
@@ -417,3 +427,33 @@ class TestFig7TrialParity:
         serial = campaign.run(trial, runner=CampaignRunner(batch_size=1, workers=1))
         batched = campaign.run(trial, runner=CampaignRunner(batch_size=2, workers=1))
         assert [o.metric for o in batched.outcomes] == [o.metric for o in serial.outcomes]
+
+
+# --------------------------------------------------------------------------- #
+# Fig. 10b: the Fig. 7 trial with the range detector as weight scrub
+# --------------------------------------------------------------------------- #
+class TestFig10bTrialParity:
+    @pytest.mark.parametrize("mitigation", [False, True])
+    @pytest.mark.parametrize("ber", [0.0, 5e-3])
+    def test_weight_scrub_equals_scalar_oracle(self, drone_bundle, ber, mitigation):
+        scrub = (
+            RangeAnomalyDetector(drone_bundle.range_profile, margin=0.1)
+            if mitigation
+            else None
+        )
+        trial = _DroneMSFTrial(
+            drone_bundle,
+            drone_bundle.config.environment,
+            weight_fault=TransientBitFlip(ber),
+            weight_scrub=scrub,
+        )
+
+        def oracle(trial, rng):
+            return fig10b_trial_oracle(drone_bundle, ber, mitigation, 0.1, rng)
+
+        _assert_matches_oracle(trial, oracle, batch_size=3, n_trials=4)
+        if mitigation:
+            # The scrub read every replica's weights, and removed the
+            # out-of-range values the faults put there.
+            assert scrub.counters.checked_values > 0
+            assert (scrub.counters.detected_anomalies > 0) == (ber > 0)

@@ -71,7 +71,6 @@ class TestHelpAndList:
             assert spec.name in text
             for param in spec.params:
                 assert param.name in text
-        assert "[batched]" in text  # batched engines are called out
         assert "repro.api.run" in text
 
 
@@ -193,7 +192,7 @@ class TestListJson:
         by_name = {spec["name"]: spec for spec in data}
         assert set(by_name) == {spec.name for spec in list_specs()}
         fig5 = by_name["fig5.inference"]
-        assert fig5["figure"] == "fig5" and fig5["batched"] is True
+        assert fig5["figure"] == "fig5"
         params = {p["name"]: p for p in fig5["params"]}
         assert params["approach"]["choices"] == ["tabular", "nn"]
         assert params["episodes_per_trial"]["type"] == "int"

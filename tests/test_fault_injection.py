@@ -490,21 +490,19 @@ class TestPatternEdgeCases:
         with pytest.raises(ValueError, match="only"):
             apply_patterns_stacked([bad, None], stacked)
 
-    def test_mixed_fault_kinds_apply_per_replica(self, wide_qtensor):
-        # One stacked call may carry transient and both stuck-at kinds; each
-        # replica must receive exactly its own pattern's semantics.
+    def test_mixed_fault_kinds_raise(self, wide_qtensor):
+        # One stacked call applies one fault kind; patterns sampled from one
+        # fault model always share it.
         stacked = wide_qtensor.replicate(3)
+        before = stacked.raw
         patterns = [
             _all_sites_pattern(wide_qtensor),
-            _all_sites_pattern(wide_qtensor, stuck_value=0),
+            None,
             _all_sites_pattern(wide_qtensor, stuck_value=1),
         ]
-        apply_patterns_stacked(patterns, stacked)
-        raw = stacked.raw
-        word_mask = wide_qtensor.qformat.word_mask
-        assert np.array_equal(raw[0], wide_qtensor.raw ^ word_mask)
-        assert np.all(raw[1] == 0)
-        assert np.all(raw[2] == word_mask)
+        with pytest.raises(ValueError, match="mix fault kinds"):
+            apply_patterns_stacked(patterns, stacked)
+        assert np.array_equal(stacked.raw, before)
 
 
 class TestCampaign:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.core.injector import PermanentTrainingFaultHook
 from repro.core.sites import FaultPattern
 from repro.quant import Q8_GRID, Q16_MID, Q16_NARROW, Q16_WIDE, QFormat, QTensor
-from repro.quant.bitops import OP_FLIP, OP_SET
 from repro.quant.statistics import bit_histogram, bit_level_stats, value_histogram
 from repro.rl.base import Transition
 from repro.rl.tabular import TabularQAgent
@@ -295,11 +294,6 @@ def _stuck_at(value):
     return mutate
 
 
-def _bit_ops(t):
-    t.inject_bit_ops(_ELEMENTS[:2], _BITS[:2], np.array([OP_SET, OP_FLIP]))
-    return t
-
-
 def _random_flips(t):
     t.inject_random_bit_flips(0.2, np.random.default_rng(3))
     return t
@@ -312,7 +306,6 @@ MUTATORS = {
     "inject_bit_flips": _flip,
     "inject_stuck_at_0": _stuck_at(0),
     "inject_stuck_at_1": _stuck_at(1),
-    "inject_bit_ops": _bit_ops,
     "inject_random_bit_flips": _random_flips,
 }
 
